@@ -1,7 +1,7 @@
 //! Regenerate the tables and figures of *Updating XML* (SIGMOD 2001).
 //!
 //! ```text
-//! paper-figures [all|table1|fig6|fig7|fig8|fig9|fig10|fig11|table2|asr-paths|randomized|ordered|storage|plan-cache|planner|txn|wal|throughput|obs|sysview|obs-overhead]
+//! paper-figures [all|table1|fig6|fig7|fig8|fig9|fig10|fig11|table2|asr-paths|randomized|ordered|storage|plan-cache|planner|txn|wal|throughput|obs|sysview|obs-overhead|fetch]
 //!               [--full]
 //! ```
 //!
@@ -210,6 +210,10 @@ fn main() {
             eprintln!("statement-tracking guard FAILED: tracking overhead exceeds 2%");
             std::process::exit(1);
         }
+    }
+    if run("fetch") {
+        let rows = exp::fetch_join_paths(if full { 41 } else { 15 });
+        exp::print_fetch_join_paths(&rows);
     }
     if run("ordered") {
         let rows = exp::ordered_ablation(&scaling);

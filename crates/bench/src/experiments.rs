@@ -2412,3 +2412,112 @@ pub fn emit_sysview_json(rows: &[SysviewLadderRow], guard: &StatementTrackingOve
         eprintln!("paper-figures: failed to write {}: {e}", path.display());
     }
 }
+
+/// One row of [`fetch_join_paths`].
+#[derive(Debug, Clone)]
+pub struct FetchJoinRow {
+    /// Store and document measured.
+    pub case: &'static str,
+    /// Median whole-document fetch time with index nested-loop joins.
+    pub index_ms: Millis,
+    /// Median whole-document fetch time with hash joins.
+    pub hash_ms: Millis,
+    /// Index lookups per fetch on the index-join path.
+    pub index_lookups: u64,
+    /// Rows scanned per fetch on the index-join path.
+    pub index_rows: u64,
+    /// Rows scanned per fetch on the hash-join path.
+    pub hash_rows: u64,
+}
+
+/// Whole-document Sorted Outer Union fetch, `fetch(root, None)`: the
+/// largest outer side the fetch produces, since every level joins the
+/// whole parent level. The index nested-loop join (default planner) is
+/// timed against the hash join it replaced. Naive planner mode always
+/// hash-joins and, with no filter in the fetch, changes nothing else; the
+/// printed rows-scanned counts show both paths touch the same rows. Two
+/// stores: the synthetic document of the `synth-query` benchmark
+/// workload (d4/f4/sf200) in memory, and 100 DBLP conferences on the
+/// paged backend with a 64-frame pool, where every probed row is read
+/// through the buffer pool. Modes alternate run by run; each time is the
+/// median of `runs`. No simulated statement cost.
+pub fn fetch_join_paths(runs: usize) -> Vec<FetchJoinRow> {
+    use xmlup_shred::Mapping;
+    fn measure(case: &'static str, repo: &mut XmlRepository, runs: usize) -> FetchJoinRow {
+        let root = repo.mapping.root();
+        let mut times = [Vec::new(), Vec::new()];
+        let mut counts = [(0, 0), (0, 0)];
+        for _ in 0..=runs {
+            for (mode, naive) in [false, true].into_iter().enumerate() {
+                repo.db.set_planner_naive(naive);
+                let before = repo.stats();
+                let start = std::time::Instant::now();
+                repo.fetch(root, None).expect("fetch");
+                times[mode].push(start.elapsed().as_secs_f64() * 1e3);
+                let after = repo.stats();
+                counts[mode] = (
+                    after.index_lookups - before.index_lookups,
+                    after.rows_scanned - before.rows_scanned,
+                );
+            }
+        }
+        repo.db.set_planner_naive(false);
+        let median = |t: &mut Vec<Millis>| {
+            t.remove(0);
+            t.sort_by(f64::total_cmp);
+            t[t.len() / 2]
+        };
+        FetchJoinRow {
+            case,
+            index_ms: median(&mut times[0]),
+            hash_ms: median(&mut times[1]),
+            index_lookups: counts[0].0,
+            index_rows: counts[0].1,
+            hash_rows: counts[1].1,
+        }
+    }
+    let cfg = RepoConfig {
+        statement_cost_us: 0,
+        ..RepoConfig::default()
+    };
+    let p = SyntheticParams::new(200, 4, 4);
+    let mut mem = XmlRepository::new(&synthetic_dtd(p.depth), "root", cfg).expect("schema builds");
+    mem.load(&fixed_document(&p)).expect("document loads");
+    let mut rows = vec![measure("synth d4/f4/sf200, memory", &mut mem, runs)];
+
+    let dir = scratch_dir();
+    let mapping = Mapping::from_dtd(&dblp_dtd(), "dblp").expect("DBLP DTD maps");
+    let paged_cfg = RepoConfig {
+        backend: xmlup_rdb::BackendKind::Paged,
+        pool_frames: 64,
+        ..cfg
+    };
+    let mut paged = XmlRepository::open_durable(&dir, mapping, paged_cfg).expect("open store");
+    paged
+        .load(&dblp_document(&DblpParams {
+            conferences: 100,
+            ..DblpParams::default()
+        }))
+        .expect("document loads");
+    paged.checkpoint().expect("checkpoint");
+    rows.push(measure("DBLP 100 conf, paged, 64 frames", &mut paged, runs));
+    drop(paged);
+    let _ = std::fs::remove_dir_all(&dir);
+    rows
+}
+
+/// Print [`fetch_join_paths`].
+pub fn print_fetch_join_paths(rows: &[FetchJoinRow]) {
+    println!("# Whole-document outer-union fetch: index nested-loop join vs hash join (median ms)");
+    println!(
+        "{:<34} {:>10} {:>10} {:>9} {:>12} {:>12}",
+        "store", "index", "hash", "lookups", "rows(index)", "rows(hash)"
+    );
+    for r in rows {
+        println!(
+            "{:<34} {:>10.2} {:>10.2} {:>9} {:>12} {:>12}",
+            r.case, r.index_ms, r.hash_ms, r.index_lookups, r.index_rows, r.hash_rows
+        );
+    }
+    println!();
+}

@@ -6,6 +6,7 @@
 //! the predicates pushed down into the scan, instead of cloning whole
 //! tables up front the way the old AST interpreter did.
 
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
@@ -274,6 +275,10 @@ pub(crate) struct OpProf {
     /// (children included — the tree is read top-down like `EXPLAIN
     /// ANALYZE` output in other engines).
     pub ns: Cell<u64>,
+    /// Index lookups an index join issued on its probe path.
+    pub probes: Cell<u64>,
+    /// Whether an index join built a hash table instead of probing.
+    pub built: Cell<bool>,
 }
 
 impl OpProf {
@@ -423,6 +428,16 @@ impl Cursor for OneRow {
             Ok(Some(Vec::new()))
         }
     }
+}
+
+/// The row at slot `p` of `t`, read through the page store.
+fn backed_fetch(t: &Table, p: usize) -> Result<Row> {
+    t.backed_row(p)?.ok_or_else(|| {
+        DbError::Storage(format!(
+            "page store lost row at slot {p} of `{}`",
+            t.schema.name
+        ))
+    })
 }
 
 enum ScanSrc<'a> {
@@ -703,14 +718,7 @@ impl<'a> ScanCur<'a> {
     /// the individual rows in; sequential scans pull the whole table in
     /// slot order.
     fn start_backed(&self, ex: &ExecCtx<'_, '_>, t: &Table) -> Result<ScanState<'a>> {
-        let fetch = |p: usize| -> Result<Row> {
-            t.backed_row(p)?.ok_or_else(|| {
-                DbError::Storage(format!(
-                    "page store lost row at slot {p} of `{}`",
-                    t.schema.name
-                ))
-            })
-        };
+        let fetch = |p: usize| backed_fetch(t, p);
         let mut rows = Vec::new();
         match &self.plan.access {
             Access::Seq => {
@@ -899,6 +907,70 @@ impl<'a> ScanCur<'a> {
 }
 
 impl ScanCur<'_> {
+    /// Whether an index join can probe this scan's index on `ci`. Not when
+    /// the index is gone (dropped under a cached plan), or when the live
+    /// indexes moved past the statement's MVCC snapshot — the join then
+    /// builds over the snapshot image, as a plain scan would read it.
+    fn can_probe(&self, ex: &ExecCtx<'_, '_>, ci: usize) -> bool {
+        let ScanSrc::Table(t) = &self.src else {
+            return false;
+        };
+        (t.has_index(ci) || t.has_ordered_index(ci))
+            && !ex.ctx.snapshot.is_some_and(|s| t.changed_since(s))
+    }
+
+    /// One index-join probe: append the rows whose column `ci` equals
+    /// `key` and that pass the pushed filters, in ascending slot order —
+    /// the order a build over this scan lists them in. Hash-index buckets
+    /// keep insertion order, which `update_cell` and undo can leave
+    /// unsorted, so such a bucket is sorted first.
+    fn probe(
+        &self,
+        ex: &ExecCtx<'_, '_>,
+        ci: usize,
+        key: &Value,
+        out: &mut Vec<Row>,
+    ) -> Result<()> {
+        let ScanSrc::Table(t) = &self.src else {
+            unreachable!("can_probe only admits table scans")
+        };
+        let t0 = self.prof.map(|_| Instant::now());
+        let bucket = t
+            .index_lookup(ci, key)
+            .expect("can_probe checked the index");
+        StatsCells::bump(&ex.db.stats.index_lookups, 1);
+        StatsCells::bump(&ex.db.stats.rows_scanned, bucket.len() as u64);
+        let ps: Cow<[usize]> = if bucket.is_sorted() {
+            Cow::Borrowed(bucket)
+        } else {
+            let mut sorted = bucket.to_vec();
+            sorted.sort_unstable();
+            Cow::Owned(sorted)
+        };
+        let before = out.len();
+        if t.backed_read_through() {
+            for &p in ps.iter() {
+                let row = backed_fetch(t, p)?;
+                if self.passes(&row, ex)? {
+                    out.push(row);
+                }
+            }
+        } else {
+            for &p in ps.iter() {
+                let row = t.row(p).expect("index points at live row");
+                if self.passes(row, ex)? {
+                    out.push(row.clone());
+                }
+            }
+        }
+        if let (Some(p), Some(t0)) = (self.prof, t0) {
+            OpProf::add(&p.loops, 1);
+            OpProf::add(&p.rows, (out.len() - before) as u64);
+            OpProf::add(&p.ns, t0.elapsed().as_nanos() as u64);
+        }
+        Ok(())
+    }
+
     fn next_inner(&mut self, ex: &ExecCtx<'_, '_>) -> Result<Option<Row>> {
         loop {
             match std::mem::replace(&mut self.state, ScanState::Done) {
@@ -955,12 +1027,7 @@ impl ScanCur<'_> {
                         i += 1;
                         StatsCells::bump(&ex.db.stats.rows_scanned, 1);
                         let row = if backed {
-                            Some(t.backed_row(p)?.ok_or_else(|| {
-                                DbError::Storage(format!(
-                                    "page store lost row at slot {p} of `{}`",
-                                    t.schema.name
-                                ))
-                            })?)
+                            Some(backed_fetch(t, p)?)
                         } else {
                             None
                         };
@@ -983,12 +1050,7 @@ impl ScanCur<'_> {
                     for p in iter.by_ref() {
                         StatsCells::bump(&ex.db.stats.rows_scanned, 1);
                         let row = if backed {
-                            Some(t.backed_row(p)?.ok_or_else(|| {
-                                DbError::Storage(format!(
-                                    "page store lost row at slot {p} of `{}`",
-                                    t.schema.name
-                                ))
-                            })?)
+                            Some(backed_fetch(t, p)?)
                         } else {
                             None
                         };
@@ -1052,12 +1114,35 @@ impl Cursor for ScanCur<'_> {
 /// from join-key value to indices into them.
 type BuildSide = (Vec<Row>, HashMap<Value, Vec<usize>>);
 
-/// Hash join: builds a hash table over the right scan on the first left
-/// row (an empty left side never pays for the build), then probes with
-/// the left key evaluated against the prefix layout.
+/// How an equi-join reaches its inner rows, fixed on the first outer row.
+enum Inner {
+    /// No outer row seen yet.
+    Unopened,
+    /// Index nested loop: one index lookup per outer row.
+    Probe,
+    /// Hash table over the whole inner scan.
+    Built(BuildSide),
+}
+
+/// The inner rows matching the pending outer row.
+enum Matches {
+    /// Indices into the build side's rows.
+    Built(Vec<usize>),
+    /// Rows fetched by an index probe, moved out as they are emitted.
+    Probed(Vec<Row>),
+}
+
+/// Equi-join. A plain hash join builds a hash table over the right scan on
+/// the first left row (an empty left side never pays for the build), then
+/// probes with the left key evaluated against the prefix layout. An
+/// index join (`JoinKind::Hash::index`) instead looks each left
+/// row up in the right scan's index and touches only the matching rows;
+/// it builds only when the index cannot serve the statement (see
+/// [`ScanCur::can_probe`]). Either way each left row's matches come out in
+/// right slot order.
 struct HashJoinCur<'a> {
     left: BoxCursor<'a>,
-    right: Option<ScanCur<'a>>,
+    right: ScanCur<'a>,
     right_ci: usize,
     left_key: &'a Expr,
     /// Pre-resolved offset of `left_key` in the prefix layout when the
@@ -1068,18 +1153,59 @@ struct HashJoinCur<'a> {
     /// key must resolve exactly as it did at plan time, before the right
     /// binding (and later ones) were in scope.
     left_layout: &'a [(String, Vec<String>, usize)],
-    build: Option<BuildSide>,
-    pending: Option<(Row, Vec<usize>, usize)>,
+    /// Whether the planner marked this an index join.
+    index: bool,
+    inner: Inner,
+    pending: Option<(Row, Matches, usize)>,
+    /// `EXPLAIN ANALYZE` actuals of this join (path and probe count).
+    prof: Option<&'a OpProf>,
+}
+
+impl HashJoinCur<'_> {
+    /// Pick the inner path on the first left row.
+    fn open_inner(&mut self, ex: &ExecCtx<'_, '_>) -> Result<Inner> {
+        if self.index && self.right.can_probe(ex, self.right_ci) {
+            StatsCells::bump(&ex.db.stats.index_scans, 1);
+            return Ok(Inner::Probe);
+        }
+        let mut rows: Vec<Row> = Vec::new();
+        let mut map: HashMap<Value, Vec<usize>> = HashMap::new();
+        while let Some(rrow) = self.right.next(ex)? {
+            let key = &rrow[self.right_ci];
+            if !key.is_null() {
+                map.entry(key.clone()).or_default().push(rows.len());
+            }
+            rows.push(rrow);
+        }
+        StatsCells::bump(&ex.db.stats.hash_join_builds, 1);
+        if let Some(p) = self.prof {
+            p.built.set(true);
+        }
+        Ok(Inner::Built((rows, map)))
+    }
 }
 
 impl Cursor for HashJoinCur<'_> {
     fn next(&mut self, ex: &ExecCtx<'_, '_>) -> Result<Option<Row>> {
         loop {
-            if let Some((lrow, hits, i)) = &mut self.pending {
-                if *i < hits.len() {
-                    let build = self.build.as_ref().expect("pending implies built");
-                    let mut out = lrow.clone();
-                    out.extend(build.0[hits[*i]].iter().cloned());
+            if let Some((lrow, matches, i)) = &mut self.pending {
+                let out = match matches {
+                    Matches::Built(hits) if *i < hits.len() => {
+                        let Inner::Built(build) = &self.inner else {
+                            unreachable!("built matches imply a build")
+                        };
+                        let mut out = lrow.clone();
+                        out.extend(build.0[hits[*i]].iter().cloned());
+                        Some(out)
+                    }
+                    Matches::Probed(rows) if *i < rows.len() => {
+                        let mut out = lrow.clone();
+                        out.append(&mut rows[*i]);
+                        Some(out)
+                    }
+                    _ => None,
+                };
+                if let Some(out) = out {
                     *i += 1;
                     return Ok(Some(out));
                 }
@@ -1088,44 +1214,43 @@ impl Cursor for HashJoinCur<'_> {
             let Some(lrow) = self.left.next(ex)? else {
                 return Ok(None);
             };
-            if self.build.is_none() {
-                let mut scan = self.right.take().expect("first build takes the scan");
-                let mut rows: Vec<Row> = Vec::new();
-                let mut map: HashMap<Value, Vec<usize>> = HashMap::new();
-                while let Some(rrow) = scan.next(ex)? {
-                    let key = &rrow[self.right_ci];
-                    if !key.is_null() {
-                        map.entry(key.clone()).or_default().push(rows.len());
-                    }
-                    rows.push(rrow);
-                }
-                StatsCells::bump(&ex.db.stats.hash_join_builds, 1);
-                self.build = Some((rows, map));
+            if matches!(self.inner, Inner::Unopened) {
+                self.inner = self.open_inner(ex)?;
             }
-            let build = self.build.as_ref().expect("built above");
-            let hits = match self.left_off {
-                Some(off) => {
-                    if lrow[off].is_null() {
-                        continue;
-                    }
-                    build.1.get(&lrow[off])
-                }
+            let keyv: Value;
+            let key = match self.left_off {
+                Some(off) => &lrow[off],
                 None => {
                     let env = SliceEnv {
                         layout: self.left_layout,
                         values: &lrow,
                     };
-                    let keyv = ex.db.eval_expr(self.left_key, &env, ex.ctx, ex.ctes)?;
-                    if keyv.is_null() {
-                        continue;
-                    }
-                    build.1.get(&keyv)
+                    keyv = ex.db.eval_expr(self.left_key, &env, ex.ctx, ex.ctes)?;
+                    &keyv
                 }
             };
-            if let Some(hits) = hits {
-                let hits = hits.clone();
-                self.pending = Some((lrow, hits, 0));
+            if key.is_null() {
+                continue;
             }
+            let matches = match &self.inner {
+                Inner::Built((_, map)) => match map.get(key) {
+                    Some(hits) => Matches::Built(hits.clone()),
+                    None => continue,
+                },
+                Inner::Probe => {
+                    let mut rows = Vec::new();
+                    self.right.probe(ex, self.right_ci, key, &mut rows)?;
+                    if let Some(p) = self.prof {
+                        OpProf::add(&p.probes, 1);
+                    }
+                    if rows.is_empty() {
+                        continue;
+                    }
+                    Matches::Probed(rows)
+                }
+                Inner::Unopened => unreachable!("opened above"),
+            };
+            self.pending = Some((lrow, matches, 0));
         }
     }
 }
@@ -1386,7 +1511,11 @@ impl Database {
         for (i, (scan_plan, kind)) in core.scans.iter().enumerate().skip(1) {
             let right = self.open_scan(scan_plan, ctes, prof.map(|p| &p.scans[i]))?;
             cur = match kind {
-                JoinKind::Hash { right_ci, left_key } => {
+                JoinKind::Hash {
+                    right_ci,
+                    left_key,
+                    index,
+                } => {
                     let left_layout = &core.layout[..i];
                     let left_off = match left_key {
                         Expr::Column { table, name } => {
@@ -1398,13 +1527,15 @@ impl Database {
                     };
                     Box::new(HashJoinCur {
                         left: cur,
-                        right: Some(right),
+                        right,
                         right_ci: *right_ci,
                         left_key,
                         left_off,
                         left_layout,
-                        build: None,
+                        index: *index,
+                        inner: Inner::Unopened,
                         pending: None,
+                        prof: prof.map(|p| &p.joins[i - 1]),
                     })
                 }
                 JoinKind::Loop => Box::new(LoopJoinCur {

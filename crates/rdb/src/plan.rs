@@ -7,8 +7,17 @@
 //!
 //! 1. **Join selection** — for each FROM source after the first, the
 //!    first equality conjunct `src.col = expr-over-earlier-bindings`
-//!    turns the source into a hash-join build side; everything else
-//!    falls back to a nested-loop (cartesian) join.
+//!    makes the source the inner side of an equi-join; everything else
+//!    falls back to a nested-loop (cartesian) join. After access
+//!    selection (so never in naive mode), an equi-join whose inner side
+//!    is still a sequential base-table scan over an indexed join column
+//!    becomes an index nested-loop join: each outer row is answered by
+//!    one index lookup, touching only the matching inner rows. Any other
+//!    equi-join builds a hash table over its whole inner scan, and so
+//!    does an index join whose index cannot serve the statement (dropped
+//!    under a cached plan, or moved past an MVCC snapshot). Both paths
+//!    emit each outer row's matches in inner slot order, so the output
+//!    does not depend on the path.
 //! 2. **Predicate pushdown** — each remaining conjunct that references
 //!    exactly one binding is pushed into that binding's scan, filtering
 //!    rows before they are cloned out of the table's slot array.
@@ -146,8 +155,14 @@ pub(crate) struct ScanPlan {
 #[derive(Debug, Clone)]
 pub(crate) enum JoinKind {
     /// Build a hash table on this scan's column `right_ci`; probe with
-    /// `left_key` evaluated over the prefix layout.
-    Hash { right_ci: usize, left_key: Expr },
+    /// `left_key` evaluated over the prefix layout. With `index` set (the
+    /// scan is a sequential base-table scan over an indexed `right_ci`)
+    /// the join instead answers each outer row with one index lookup.
+    Hash {
+        right_ci: usize,
+        left_key: Expr,
+        index: bool,
+    },
     /// Cartesian nested loop (residual predicates filter later).
     Loop,
 }
@@ -567,6 +582,7 @@ impl Database {
                                         scans[i].1 = JoinKind::Hash {
                                             right_ci: col,
                                             left_key: (**b).clone(),
+                                            index: false,
                                         };
                                         if !naive {
                                             consumed[ci_conj] = true;
@@ -721,6 +737,26 @@ impl Database {
                 };
                 Self::pick_range_access(scan, t);
             }
+
+            // --- index join selection ------------------------------------
+            // A hash join whose build side is still a sequential base-table
+            // scan over an indexed join column probes that index per outer
+            // row instead, touching only the matching inner rows.
+            for (scan, kind) in &mut scans {
+                let JoinKind::Hash {
+                    right_ci, index, ..
+                } = kind
+                else {
+                    continue;
+                };
+                if scan.is_cte || !matches!(scan.access, Access::Seq) {
+                    continue;
+                }
+                let Some(t) = self.tables.get(&scan.key) else {
+                    continue;
+                };
+                *index = t.has_index(*right_ci) || t.has_ordered_index(*right_ci);
+            }
         }
 
         // --- cardinality estimates ---------------------------------------
@@ -729,12 +765,20 @@ impl Database {
         // probe — so plans and EXPLAIN output for un-analyzed schemas are
         // unchanged. With statistics, estimates come from distinct counts
         // and equi-depth histograms. CTE sizes are unknown at plan time.
-        for (scan, _) in &mut scans {
+        // The inner scan of an index join estimates rows per probe.
+        for (scan, kind) in &mut scans {
             scan.est_rows = if scan.is_cte {
                 0
             } else if let Some(t) = self.tables.get(&scan.key) {
                 scan.stats_est = t.statistics().is_some();
-                Self::estimate_scan(scan, t)
+                match kind {
+                    JoinKind::Hash {
+                        right_ci,
+                        index: true,
+                        ..
+                    } => t.rows_per_key(*right_ci) as u64,
+                    _ => Self::estimate_scan(scan, t),
+                }
             } else {
                 0
             };
@@ -1190,20 +1234,10 @@ impl Database {
                         return s.columns[*ci].est_eq_rows(v);
                     }
                 }
-                let distinct = t.index_distinct(*ci) as u64;
-                if distinct == 0 {
-                    0
-                } else {
-                    total.div_ceil(distinct)
-                }
+                t.rows_per_key(*ci) as u64
             }
             Access::IndexIn { ci, .. } | Access::IndexInList { ci, .. } => {
-                let distinct = t.index_distinct(*ci) as u64;
-                if distinct == 0 {
-                    0
-                } else {
-                    total.div_ceil(distinct)
-                }
+                t.rows_per_key(*ci) as u64
             }
             Access::Range {
                 ci, lower, upper, ..
@@ -1386,16 +1420,23 @@ fn push(lines: &mut Vec<String>, ind: usize, line: String) {
     lines.push(format!("{}{line}", "  ".repeat(ind)));
 }
 
-/// ` (actual rows=R loops=L time=T)` suffix for an analyzed operator;
+/// ` (actual rows=R loops=L time=T)` suffix for an analyzed operator,
+/// with ` probes=P` before the time for an index join that probed;
 /// empty when no profile is attached (plain `EXPLAIN` stays unchanged).
 fn actual_suffix(prof: Option<&OpProf>) -> String {
     match prof {
-        Some(p) => format!(
-            " (actual rows={} loops={} time={})",
-            p.rows.get(),
-            p.loops.get(),
-            crate::obs::fmt_ns(p.ns.get())
-        ),
+        Some(p) => {
+            let probes = match p.probes.get() {
+                0 => String::new(),
+                n => format!(" probes={n}"),
+            };
+            format!(
+                " (actual rows={} loops={}{probes} time={})",
+                p.rows.get(),
+                p.loops.get(),
+                crate::obs::fmt_ns(p.ns.get())
+            )
+        }
         None => String::new(),
     }
 }
@@ -1510,31 +1551,73 @@ fn render_joins(
 ) {
     match n {
         0 => push(lines, ind, "Result (one row)".to_string()),
-        1 => render_scan(&core.scans[0].0, ind, lines, prof.map(|p| &p.scans[0])),
+        1 => render_scan(
+            &core.scans[0].0,
+            None,
+            ind,
+            lines,
+            prof.map(|p| &p.scans[0]),
+        ),
         _ => {
-            let join_suffix = actual_suffix(prof.map(|p| &p.joins[n - 2]));
+            let join_prof = prof.map(|p| &p.joins[n - 2]);
             let (scan, kind) = &core.scans[n - 1];
+            // An index join renders as its probe; under `EXPLAIN ANALYZE`
+            // it renders as the path that ran, which is a build when the
+            // index could not serve the statement.
+            let mut probe = None;
             match kind {
-                JoinKind::Hash { right_ci, left_key } => push(
-                    lines,
-                    ind,
-                    format!(
-                        "HashJoin ({}.{} = {}){join_suffix}",
+                JoinKind::Hash {
+                    right_ci,
+                    left_key,
+                    index,
+                } => {
+                    let cond = format!(
+                        "({}.{} = {})",
                         scan.binding,
                         scan.columns[*right_ci],
                         expr_to_sql(left_key)
-                    ),
+                    );
+                    let op = if *index && !join_prof.is_some_and(|p| p.built.get()) {
+                        probe = Some((*right_ci, left_key));
+                        "IndexJoin"
+                    } else {
+                        "HashJoin"
+                    };
+                    push(
+                        lines,
+                        ind,
+                        format!("{op} {cond}{}", actual_suffix(join_prof)),
+                    );
+                }
+                JoinKind::Loop => push(
+                    lines,
+                    ind,
+                    format!("NestedLoop{}", actual_suffix(join_prof)),
                 ),
-                JoinKind::Loop => push(lines, ind, format!("NestedLoop{join_suffix}")),
             }
             render_joins(core, n - 1, ind + 1, lines, prof);
-            render_scan(scan, ind + 1, lines, prof.map(|p| &p.scans[n - 1]));
+            render_scan(scan, probe, ind + 1, lines, prof.map(|p| &p.scans[n - 1]));
         }
     }
 }
 
-fn render_scan(scan: &ScanPlan, ind: usize, lines: &mut Vec<String>, prof: Option<&OpProf>) {
-    let mut line = if scan.is_cte {
+/// Render one scan line. `probe` is `(column, key)` for the inner scan of
+/// an index join that probes its index per outer row.
+fn render_scan(
+    scan: &ScanPlan,
+    probe: Option<(usize, &Expr)>,
+    ind: usize,
+    lines: &mut Vec<String>,
+    prof: Option<&OpProf>,
+) {
+    let mut line = if let Some((ci, key)) = probe {
+        format!(
+            "IndexScan {} ({} = {})",
+            scan.name,
+            scan.columns[ci],
+            expr_to_sql(key)
+        )
+    } else if scan.is_cte {
         format!("CteScan {}", scan.name)
     } else if scan.is_sys {
         format!("SysScan {}", scan.name)

@@ -1,11 +1,17 @@
 //! Line-protocol TCP front-end over a [`SharedDatabase`].
 //!
-//! One session per connection, one statement per line. Responses:
+//! One session per connection, one statement per line of at most
+//! [`MAX_LINE_BYTES`] bytes. A line may arrive in pieces with any pause
+//! between them. Responses:
 //!
 //! - `ROWS <n>` followed by `n` tab-separated rows, for a result set
 //! - `OK <n>` for DML (`n` rows affected)
 //! - `OK` for DDL and transaction control
 //! - `ERR <message>` on failure (the connection stays usable)
+//!
+//! A line that grows past the bound gets one `ERR` reply and the
+//! connection is closed, so no client can grow the server's buffer
+//! without limit.
 //!
 //! `BEGIN`/`COMMIT`/`ROLLBACK` scope a per-connection transaction via
 //! [`Session`]; a connection that drops mid-transaction is rolled back
@@ -24,12 +30,15 @@
 
 use crate::session::{Session, SqlOutcome};
 use crate::SharedDatabase;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Longest statement line the server accepts, newline excluded.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// TCP server builder: binds and spawns the accept loop.
 pub struct Server;
@@ -123,11 +132,14 @@ fn serve_connection(
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     let mut session = shared.session();
-    let mut line = String::new();
+    // Bytes of the current line. They survive read timeouts: a statement
+    // split by a pause longer than the timeout is completed, not dropped.
+    let mut buf: Vec<u8> = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => break, // EOF
+        // Read at most one byte past the bound, so an overlong line is
+        // detected without buffering the rest of it.
+        let room = (MAX_LINE_BYTES + 1 - buf.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut buf) {
             Ok(_) => {}
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
@@ -140,6 +152,22 @@ fn serve_connection(
             }
             Err(e) => return Err(e),
         }
+        if buf.is_empty() {
+            break; // EOF
+        }
+        if buf.len() > MAX_LINE_BYTES && !buf.ends_with(b"\n") {
+            writer.write_all(
+                format!("ERR line longer than {MAX_LINE_BYTES} bytes; closing connection\n")
+                    .as_bytes(),
+            )?;
+            break;
+        }
+        // A complete line, or the unterminated last one before EOF.
+        let bytes = std::mem::take(&mut buf);
+        let Ok(line) = std::str::from_utf8(&bytes) else {
+            writer.write_all(b"ERR statement is not valid UTF-8\n")?;
+            continue;
+        };
         let sql = line.trim();
         if sql.is_empty() {
             continue;

@@ -607,6 +607,16 @@ impl Table {
         self.ordered.get(&column_idx).map_or(0, |m| m.len())
     }
 
+    /// Average bucket size of the index on `column_idx`: live rows per
+    /// distinct key, rounded up. 0 when the column has no index or the
+    /// table is empty.
+    pub(crate) fn rows_per_key(&self, column_idx: usize) -> usize {
+        match self.index_distinct(column_idx) {
+            0 => 0,
+            distinct => self.live.div_ceil(distinct),
+        }
+    }
+
     /// Index lookup: positions of live rows with `row[column_idx] == key`.
     /// Served by the hash index when present, else by an equality probe
     /// of the ordered index. Returns `None` if the column carries neither.

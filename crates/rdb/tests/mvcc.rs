@@ -182,3 +182,60 @@ fn concurrent_readers_see_stable_counts_while_writer_churns() {
         Value::Int(3)
     );
 }
+
+#[test]
+fn index_join_under_a_stale_snapshot_reads_the_snapshot_rows() {
+    let mut db = Database::new();
+    db.run_script(
+        "CREATE TABLE parent (id INTEGER);
+         CREATE TABLE child (id INTEGER, parentId INTEGER);
+         CREATE INDEX child_parent ON child (parentId);
+         INSERT INTO parent VALUES (1), (2), (3);
+         INSERT INTO child VALUES (10, 1), (11, 1), (12, 2), (13, 3), (14, 3), (15, 1);",
+    )
+    .unwrap();
+    db.enable_mvcc(true);
+    // A join on an indexed parentId: the index-join shape.
+    let sql = "SELECT c.id FROM parent p, child c WHERE c.parentId = p.id AND p.id = 1";
+    let ids = |db: &Database, snap: Option<u64>| -> Vec<Value> {
+        db.query_at(sql, snap)
+            .unwrap()
+            .rows
+            .into_iter()
+            .map(|r| r[0].clone())
+            .collect()
+    };
+    let before = ids(&db, None);
+    assert_eq!(before, vec![Value::Int(10), Value::Int(11), Value::Int(15)]);
+
+    let snap = db.begin_snapshot();
+    // A writer commits past the snapshot: the live parentId index now
+    // describes rows the snapshot must not see, and misses one it must.
+    db.execute("INSERT INTO child VALUES (99, 1)").unwrap();
+    db.execute("DELETE FROM child WHERE id = 10").unwrap();
+    db.execute("UPDATE child SET parentId = 2 WHERE id = 11")
+        .unwrap();
+    db.execute("UPDATE child SET parentId = 1 WHERE id = 12")
+        .unwrap();
+
+    db.reset_stats();
+    assert_eq!(ids(&db, Some(snap)), before, "snapshot rows");
+    let s = db.stats();
+    assert_eq!(
+        s.hash_join_builds, 1,
+        "stale snapshot must build over the snapshot image: {s:?}"
+    );
+    assert_eq!(s.index_lookups, 0, "{s:?}");
+
+    // The live state (and a fresh snapshot) probe the moved index.
+    db.reset_stats();
+    let live = vec![Value::Int(12), Value::Int(15), Value::Int(99)];
+    assert_eq!(ids(&db, None), live);
+    let fresh = db.begin_snapshot();
+    assert_eq!(ids(&db, Some(fresh)), live);
+    let s = db.stats();
+    assert_eq!(s.hash_join_builds, 0, "{s:?}");
+    assert_eq!(s.index_lookups, 2, "{s:?}");
+    db.end_snapshot(fresh);
+    db.end_snapshot(snap);
+}

@@ -83,9 +83,12 @@ fn forest_db() -> Database {
 // ---------------------------------------------------------------------
 
 #[test]
-fn explain_analyze_hash_join_rows_golden() {
+fn explain_analyze_index_join_rows_golden() {
     let mut db = forest_db();
-    // 4 roots pass the filter -> 8 n2 rows -> 24 n3 rows.
+    // 4 roots pass the filter -> 8 n2 rows -> 24 n3 rows. Each join
+    // probes the parentId index once per outer row: `probes` on the join
+    // and `loops` on its inner IndexScan count the lookups, and only the
+    // matching inner rows are touched.
     let plan = explain(
         &mut db,
         "EXPLAIN ANALYZE SELECT n3.id FROM n1, n2, n3 \
@@ -93,10 +96,41 @@ fn explain_analyze_hash_join_rows_golden() {
     );
     let expected = "\
 Project [id] (actual rows=24 loops=1 time=X)
-  HashJoin (n3.parentId = n2.id) (actual rows=24 loops=1 time=X)
-    HashJoin (n2.parentId = n1.id) (actual rows=8 loops=1 time=X)
+  IndexJoin (n3.parentId = n2.id) (actual rows=24 loops=1 probes=8 time=X)
+    IndexJoin (n2.parentId = n1.id) (actual rows=8 loops=1 probes=4 time=X)
       SeqScan n1 [filter: (n1.num < 4)] (est rows=8) (actual rows=4 loops=1 time=X)
-      SeqScan n2 (est rows=16) (actual rows=16 loops=1 time=X)
+      IndexScan n2 (parentId = n1.id) (est rows=2) (actual rows=8 loops=4 time=X)
+    IndexScan n3 (parentId = n2.id) (est rows=3) (actual rows=24 loops=8 time=X)
+Execution time: X";
+    assert_eq!(scrub_times(&plan), expected, "raw plan:\n{plan}");
+}
+
+#[test]
+fn explain_analyze_unindexed_join_builds_hash_join_golden() {
+    let mut db = forest_db();
+    // A large outer side over an indexed column still probes: all 16 n2
+    // rows look up their 3 children each.
+    let plan = explain(
+        &mut db,
+        "EXPLAIN ANALYZE SELECT n3.id FROM n2, n3 WHERE n3.parentId = n2.id",
+    );
+    let expected = "\
+Project [id] (actual rows=48 loops=1 time=X)
+  IndexJoin (n3.parentId = n2.id) (actual rows=48 loops=1 probes=16 time=X)
+    SeqScan n2 (est rows=16) (actual rows=16 loops=1 time=X)
+    IndexScan n3 (parentId = n2.id) (est rows=3) (actual rows=48 loops=16 time=X)
+Execution time: X";
+    assert_eq!(scrub_times(&plan), expected, "raw plan:\n{plan}");
+    // n3.num has no index: one hash build over the full n3 scan. n1 rows
+    // 0, 1 and 2 each match the 16 n3 rows with that num.
+    let plan = explain(
+        &mut db,
+        "EXPLAIN ANALYZE SELECT n3.id FROM n1, n3 WHERE n3.num = n1.num",
+    );
+    let expected = "\
+Project [id] (actual rows=48 loops=1 time=X)
+  HashJoin (n3.num = n1.num) (actual rows=48 loops=1 time=X)
+    SeqScan n1 (est rows=8) (actual rows=8 loops=1 time=X)
     SeqScan n3 (est rows=48) (actual rows=48 loops=1 time=X)
 Execution time: X";
     assert_eq!(scrub_times(&plan), expected, "raw plan:\n{plan}");

@@ -120,32 +120,60 @@ fn garbage_collect_not_in_stays_seq_scan() {
 }
 
 #[test]
-fn outer_union_join_uses_hash_join() {
+fn outer_union_join_uses_index_join() {
     let mut db = edge_db();
     // The outer-union reconstruction shape from the shredder:
-    // `FROM Q P, child T WHERE T.parentId = P.C1` with Q a CTE.
-    let plan = explain(
-        &mut db,
-        "EXPLAIN WITH Q1(C1) AS (SELECT id FROM n1 WHERE num < 10) \
-         SELECT T.id, T.num FROM Q1 P, n2 T WHERE T.parentId = P.C1",
+    // `FROM Q P, child T WHERE T.parentId = P.C1` with Q a CTE. The
+    // child's parentId index makes the join probe per parent row.
+    let sql = "WITH Q1(C1) AS (SELECT id FROM n1 WHERE num < 10) \
+               SELECT T.id, T.num FROM Q1 P, n2 T WHERE T.parentId = P.C1";
+    let plan = explain(&mut db, &format!("EXPLAIN {sql}"));
+    assert!(
+        plan.contains("IndexJoin (T.parentId = P.C1)"),
+        "outer-union reconstruction should index join:\n{plan}"
     );
     assert!(
-        plan.contains("HashJoin (T.parentId = P.C1)"),
-        "outer-union reconstruction should hash join:\n{plan}"
+        plan.contains("IndexScan n2 (parentId = P.C1) AS T"),
+        "{plan}"
     );
     assert!(plan.contains("CteScan Q1 AS P"), "{plan}");
-    // Three-way chain joins hash at every level.
+    // At run time 8 parents probe once each and touch only their 4
+    // children: no build, no scan of n2.
+    db.reset_stats();
+    let rs = db.query(sql).unwrap();
+    assert_eq!(rs.rows.len(), 32);
+    let s = db.stats();
+    assert_eq!(s.hash_join_builds, 0, "{s:?}");
+    assert_eq!(s.index_lookups, 8, "{s:?}");
+    assert_eq!(
+        s.rows_scanned,
+        40 + 8 + 32,
+        "n1 scan, the 8-row CTE scan and the probed buckets only"
+    );
+    // Three-way chain joins probe at every level.
     let plan = explain(
         &mut db,
         "EXPLAIN SELECT n3.id FROM n1, n2, n3 \
          WHERE n2.parentId = n1.id AND n3.parentId = n2.id AND n1.num < 10",
     );
-    assert!(plan.contains("HashJoin (n2.parentId = n1.id)"), "{plan}");
-    assert!(plan.contains("HashJoin (n3.parentId = n2.id)"), "{plan}");
+    assert!(plan.contains("IndexJoin (n2.parentId = n1.id)"), "{plan}");
+    assert!(plan.contains("IndexJoin (n3.parentId = n2.id)"), "{plan}");
     assert!(
         plan.contains("SeqScan n1 [filter: (n1.num < 10)]"),
         "single-binding predicate should be pushed into the n1 scan:\n{plan}"
     );
+    // No index on the inner join column: a plain hash join.
+    let plan = explain(
+        &mut db,
+        "EXPLAIN SELECT n1.id FROM n2, n1 WHERE n1.num = n2.num",
+    );
+    assert!(plan.contains("HashJoin (n1.num = n2.num)"), "{plan}");
+    assert!(plan.contains("SeqScan n1"), "{plan}");
+    // Naive mode reproduces the interpreter: always a hash join.
+    db.set_planner_naive(true);
+    let plan = explain(&mut db, &format!("EXPLAIN {sql}"));
+    assert!(plan.contains("HashJoin (T.parentId = P.C1)"), "{plan}");
+    assert!(!plan.contains("IndexJoin"), "{plan}");
 }
 
 #[test]
@@ -315,6 +343,8 @@ fn planned_results_match_naive_interpretation() {
          ORDER BY A.id, B.id LIMIT 20",
         "SELECT id FROM n1 WHERE EXISTS (SELECT * FROM n2 WHERE num > 28) ORDER BY id LIMIT 3",
         "SELECT id, num FROM n2 ORDER BY num DESC, id LIMIT 9",
+        // n2.num has no index, so the planned side builds a hash table.
+        "SELECT n1.id, n2.id FROM n1, n2 WHERE n2.num = n1.num ORDER BY n1.id, n2.id",
     ];
     let planned = edge_db();
     let mut naive = edge_db();
@@ -336,6 +366,72 @@ fn planned_results_match_naive_interpretation() {
     assert!(s.hash_join_builds > 0);
     assert_eq!(s.predicates_pushed, 0);
     assert_eq!(s.index_scans, 0);
+}
+
+/// Index-join battery: outer-union-shaped queries with NO `ORDER BY`, so
+/// the join's own output order is what gets compared. Both databases get
+/// the same history first: n2 and n3 rows are moved to another parent and
+/// back, which appends their slots to the end of the parentId hash-index
+/// buckets. A probe that emitted matches in bucket order instead of slot
+/// order would diverge from the naive hash join here.
+#[test]
+fn index_join_matches_naive_byte_for_byte_on_unsorted_buckets() {
+    let history = "UPDATE n2 SET parentId = 999 WHERE id = 5;
+         UPDATE n2 SET parentId = 1 WHERE id = 5;
+         UPDATE n2 SET parentId = 999 WHERE id = 12 OR id = 13;
+         UPDATE n2 SET parentId = 3 WHERE parentId = 999;
+         UPDATE n3 SET parentId = -1 WHERE id = 2;
+         UPDATE n3 SET parentId = 1 WHERE id = 2;
+         DELETE FROM n2 WHERE id = 6;
+         INSERT INTO n2 VALUES (6, 1, 6);
+         CREATE INDEX asr_desc ON asr (descendant) USING ORDERED;";
+    let queries = [
+        // The shredder's Figure 5 levels: CTE parents, child by parentId.
+        "WITH Q1(C1) AS (SELECT id FROM n1 WHERE num < 15) \
+         SELECT T.id, T.num FROM Q1 P, n2 T WHERE T.parentId = P.C1",
+        "WITH Q1(C1) AS (SELECT id FROM n1 WHERE id = 1 OR id = 3), \
+         Q2(C1, C2) AS (SELECT P.C1, T.id FROM Q1 P, n2 T WHERE T.parentId = P.C1), \
+         Q3(C1, C2, C3) AS (SELECT P.C1, P.C2, T.id FROM Q2 P, n3 T WHERE T.parentId = P.C2) \
+         (SELECT C1, NULL, NULL FROM Q1) UNION ALL (SELECT C1, C2, NULL FROM Q2) \
+         UNION ALL (SELECT * FROM Q3)",
+        // Base-table outer sides, a pushed inner filter, an expression key.
+        "SELECT n2.id, n2.num FROM n1, n2 WHERE n2.parentId = n1.id AND n1.num < 10",
+        "SELECT n3.id FROM n1, n2, n3 \
+         WHERE n2.parentId = n1.id AND n3.parentId = n2.id AND n1.num < 20",
+        "SELECT n2.id FROM n1, n2 WHERE n2.parentId = n1.id AND n2.num > 10 AND n1.num < 30",
+        "SELECT n2.id FROM n1, n2 WHERE n2.parentId = n1.id + 1 AND n1.num < 10",
+        // An ordered-index inner column.
+        "SELECT n2.id, asr.mark FROM n2, asr WHERE asr.descendant = n2.id AND n2.num < 4",
+        // Large outer sides: every parent row probes.
+        "SELECT n3.id FROM n2, n3 WHERE n3.parentId = n2.id",
+        "SELECT n2.id FROM n1, n2 WHERE n2.parentId = n1.id",
+    ];
+    let mut planned = edge_db();
+    planned.run_script(history).unwrap();
+    let mut naive = edge_db();
+    naive.set_planner_naive(true);
+    naive.run_script(history).unwrap();
+    // The history really left a parentId bucket out of slot order.
+    let n2 = planned.table("n2").unwrap();
+    let bucket = n2.index_lookup(1, &Value::Int(1)).unwrap();
+    assert!(!bucket.is_sorted(), "bucket still sorted: {bucket:?}");
+    planned.reset_stats();
+    naive.reset_stats();
+    for sql in queries {
+        let a = planned.query(sql).unwrap();
+        let b = naive.query(sql).unwrap();
+        assert_eq!(a.columns, b.columns, "columns diverge for `{sql}`");
+        assert_eq!(a.rows, b.rows, "rows diverge for `{sql}`");
+    }
+    let s = planned.stats();
+    assert!(s.index_lookups > 0, "battery never probed: {s:?}");
+    assert_eq!(s.hash_join_builds, 0, "every join probes: {s:?}");
+    let s = naive.stats();
+    assert_eq!(s.index_lookups, 0, "naive side must not probe: {s:?}");
+    assert_eq!(
+        s.hash_join_builds, 11,
+        "naive side hash joins every join: {s:?}"
+    );
 }
 
 #[test]

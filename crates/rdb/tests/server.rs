@@ -255,3 +255,45 @@ fn metrics_endpoint_serves_prometheus_and_json() {
 
     http.shutdown();
 }
+
+#[test]
+fn statement_split_by_a_long_pause_is_completed_not_dropped() {
+    let mut db = Database::new();
+    db.run_script("CREATE TABLE t (id INTEGER);").unwrap();
+    let shared = SharedDatabase::new(db);
+    let handle = Server::start(shared.clone(), "127.0.0.1:0").unwrap();
+    let mut c = Client::connect(handle.addr());
+    // The pause outlasts the server's 50 ms read timeout several times
+    // over; the first half of the line must still be there afterwards.
+    c.out.write_all(b"INSERT INTO t VAL").unwrap();
+    c.out.flush().unwrap();
+    std::thread::sleep(std::time::Duration::from_millis(200));
+    c.out.write_all(b"UES (42)\n").unwrap();
+    assert_eq!(c.read_line(), "OK 1");
+    let (head, rows) = c.send("SELECT id FROM t");
+    assert_eq!(head, "ROWS 1");
+    assert_eq!(rows, vec!["42"]);
+    handle.shutdown();
+}
+
+#[test]
+fn overlong_line_is_refused_and_the_connection_closed() {
+    use xmlup_rdb::server::MAX_LINE_BYTES;
+    let (handle, _shared) = serve();
+    // A line of exactly the bound is accepted.
+    let mut c = Client::connect(handle.addr());
+    let mut stmt = b"SELECT COUNT(*) FROM t".to_vec();
+    stmt.resize(MAX_LINE_BYTES, b' ');
+    stmt.push(b'\n');
+    c.out.write_all(&stmt).unwrap();
+    assert_eq!(c.read_line(), "ROWS 1");
+    assert_eq!(c.read_line(), "2");
+    // One byte more without a newline gets one ERR, then EOF.
+    let mut c = Client::connect(handle.addr());
+    c.out.write_all(&vec![b'x'; MAX_LINE_BYTES + 1]).unwrap();
+    let head = c.read_line();
+    assert!(head.starts_with("ERR line longer than"), "{head}");
+    let mut rest = String::new();
+    assert_eq!(c.lines.read_line(&mut rest).unwrap(), 0, "{rest}");
+    handle.shutdown();
+}

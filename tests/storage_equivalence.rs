@@ -130,6 +130,20 @@ fn apply(repo: &mut XmlRepository, rel: usize, op: Op) {
     }
 }
 
+/// Fetch every live subtree of relation `rel` one at a time through the
+/// Sorted Outer Union and serialize each. Every level's parentId join
+/// probes its index (on the paged backend, fetching rows through the
+/// buffer pool).
+fn subtree_fetches(repo: &mut XmlRepository, rel: usize) -> Vec<String> {
+    repo.ids_of(rel)
+        .into_iter()
+        .map(|id| {
+            let (doc, _) = repo.fetch(rel, Some(&format!("id = {id}"))).unwrap();
+            xmlup_xml::serializer::to_string(&doc)
+        })
+        .collect()
+}
+
 fn inline_repo(path: &Path, p: &SyntheticParams, backend: BackendKind) -> (XmlRepository, usize) {
     let dtd = synthetic_dtd(p.depth);
     let mapping = Mapping::from_dtd(&dtd, "root").unwrap();
@@ -172,6 +186,11 @@ fn run_inline_case(p: &SyntheticParams, seed: u64) -> Result<(), TestCaseError> 
         xmlup_xml::serializer::to_string(&mem_doc),
         xmlup_xml::serializer::to_string(&paged_doc)
     );
+    // So is every subtree fetched on its own.
+    prop_assert_eq!(
+        subtree_fetches(&mut mem, rel),
+        subtree_fetches(&mut paged, rel)
+    );
 
     // When the dataset outgrows SMALL_POOL frames the script must have
     // gone through eviction, not just cache hits.
@@ -192,6 +211,53 @@ fn run_inline_case(p: &SyntheticParams, seed: u64) -> Result<(), TestCaseError> 
     paged2.close_durable().unwrap();
     mem.close_durable().unwrap();
     Ok(())
+}
+
+/// Per-subtree outer-union fetches take the index-join probe path on both
+/// backends — row reads going through the buffer pool on the paged one —
+/// and return the same XML.
+#[test]
+fn subtree_fetch_index_join_matches_across_backends() {
+    let p = SyntheticParams {
+        scaling_factor: 6,
+        depth: 3,
+        fanout: 2,
+        seed: 7,
+    };
+    let (mem_dir, paged_dir) = (Scratch::new(), Scratch::new());
+    let (mut mem, rel) = inline_repo(mem_dir.path(), &p, BackendKind::Memory);
+    let (mut paged, _) = inline_repo(paged_dir.path(), &p, BackendKind::Paged);
+    // Reopen the paged store so its pool starts cold and every row the
+    // probes return is read back from the page file.
+    paged.checkpoint().unwrap();
+    paged.close_durable().unwrap();
+    let (mut paged, _) = inline_repo(paged_dir.path(), &p, BackendKind::Paged);
+
+    let before = (
+        mem.db.stats(),
+        paged.db.stats(),
+        paged.db.storage_metrics().pool,
+    );
+    let mem_xml = subtree_fetches(&mut mem, rel);
+    let paged_xml = subtree_fetches(&mut paged, rel);
+    assert_eq!(mem_xml.len(), 6);
+    assert_eq!(mem_xml, paged_xml);
+    let after = (
+        mem.db.stats(),
+        paged.db.stats(),
+        paged.db.storage_metrics().pool,
+    );
+    for (b, a) in [(&before.0, &after.0), (&before.1, &after.1)] {
+        assert_eq!(a.hash_join_builds, b.hash_join_builds, "{a:?}");
+        assert!(a.index_lookups > b.index_lookups, "{a:?}");
+    }
+    assert!(
+        after.2.hits + after.2.misses > before.2.hits + before.2.misses,
+        "paged probes never touched the buffer pool: {:?}",
+        after.2
+    );
+    paged.close_durable().unwrap();
+    mem.close_durable().unwrap();
 }
 
 // ----------------------------------------------------------------------
