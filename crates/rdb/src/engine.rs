@@ -11,7 +11,7 @@
 use crate::ast::*;
 use crate::cells::{Counter, DurCell, FlagCell, IdCell, OptDurCell};
 use crate::error::{DbError, Result};
-use crate::exec::{EvalCtx, PlanProf, RowEnv};
+use crate::exec::{CteEnv, EvalCtx, ExecCtx, PlanProf, RowFilter, RowsScanned, SliceEnv};
 use crate::mvcc::MvccState;
 use crate::obs::{self, Metric, SlowQuery, Span};
 use crate::parser::{parse_script_with_text, parse_stmt_with_params};
@@ -25,6 +25,7 @@ use crate::table::{Table, TableSchema};
 use crate::txn::{FaultState, Savepoint, TxnState, UndoRecord};
 use crate::value::{Row, Value};
 use crate::wal::{self, WalRecord};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -2802,17 +2803,15 @@ impl Database {
     ) -> Result<ExecResult> {
         // Evaluate source rows first (they may read the target table).
         let source_rows: Vec<Row> = match source {
-            InsertSource::Values(rows) => {
-                let env = RowEnv::default();
-                rows.iter()
-                    .map(|exprs| {
-                        exprs
-                            .iter()
-                            .map(|e| self.eval_expr(e, &env, ctx, &HashMap::new()))
-                            .collect::<Result<Row>>()
-                    })
-                    .collect::<Result<Vec<Row>>>()?
-            }
+            InsertSource::Values(rows) => rows
+                .iter()
+                .map(|exprs| {
+                    exprs
+                        .iter()
+                        .map(|e| self.eval_expr(e, &SliceEnv::EMPTY, ctx, &HashMap::new()))
+                        .collect::<Result<Row>>()
+                })
+                .collect::<Result<Vec<Row>>>()?,
             InsertSource::Select(q) => self.eval_select(q, ctx)?.rows,
         };
         let key = table.to_ascii_lowercase();
@@ -3042,13 +3041,16 @@ impl Database {
             (cols, idx)
         };
         let mut pending: Vec<(usize, Vec<Value>)> = Vec::with_capacity(positions.len());
-        // Layout built once; only the row values change per tuple.
-        let mut env = RowEnv::single(table, &columns, &[]);
+        // Layout built once; each tuple is read in place.
+        let layout = [(table.to_string(), columns, 0)];
         for &p in &positions {
             let row = self.tables.get(&key).unwrap().row(p).ok_or_else(|| {
                 DbError::Execution(format!("row vanished during UPDATE at slot {p}"))
             })?;
-            env.set_values(row);
+            let env = SliceEnv {
+                layout: &layout,
+                values: row,
+            };
             let vals: Vec<Value> = sets
                 .iter()
                 .map(|(_, e)| self.eval_expr(e, &env, ctx, &HashMap::new()))
@@ -3129,19 +3131,31 @@ impl Database {
             .tables
             .get(key)
             .ok_or_else(|| DbError::NoSuchTable(key.into()))?;
-        let columns = t.schema.column_names();
         let filter = match filter {
             None => return Ok(t.live_positions()),
             Some(f) => f,
         };
-        // Row environment reused across the per-tuple loops below: the
-        // layout (and its case-insensitive name resolution) is built once
-        // per statement, only the values are swapped per row.
-        let mut env = RowEnv::single(&t.schema.name, &columns, &[]);
+        // The filter is bound to the table's layout once per statement;
+        // the per-tuple loops below test each row in place. Whole-tree
+        // `eval_bool` semantics: an unknown conjunct does not stop the
+        // evaluation of the ones after it.
+        let no_ctes = CteEnv::new();
+        let ex = ExecCtx {
+            db: self,
+            ctx,
+            ctes: &no_ctes,
+        };
+        let layout = vec![(t.schema.name.clone(), t.schema.column_names(), 0)];
+        let filter_row = RowFilter::new(
+            filter.conjuncts(),
+            Cow::Owned(layout),
+            !self.planner_naive.get(),
+            true,
+        );
+        let scanned = RowsScanned::new(&self.stats);
         // Index fast path.
-        let empty_env = RowEnv::default();
-        if let Some((ci, key_expr)) = self.find_index_probe(t, filter, &columns) {
-            if let Ok(keyv) = self.eval_expr(key_expr, &empty_env, ctx, &HashMap::new()) {
+        if let Some((ci, key_expr)) = self.find_index_probe(t, filter) {
+            if let Ok(keyv) = self.eval_expr(key_expr, &SliceEnv::EMPTY, ctx, &no_ctes) {
                 if !keyv.is_null() {
                     if let Some(positions) = t.index_lookup(ci, &keyv) {
                         StatsCells::bump(&self.stats.index_lookups, 1);
@@ -3149,9 +3163,8 @@ impl Database {
                         let mut out = Vec::new();
                         for &p in positions {
                             let row = t.row(p).expect("index points at live row");
-                            StatsCells::bump(&self.stats.rows_scanned, 1);
-                            env.set_values(row);
-                            if self.eval_bool(filter, &env, ctx, &HashMap::new())? == Some(true) {
+                            scanned.add(1);
+                            if filter_row.test(row, &ex)? {
                                 out.push(p);
                             }
                         }
@@ -3185,11 +3198,8 @@ impl Database {
                                         StatsCells::bump(&self.stats.index_lookups, 1);
                                         for &p in positions {
                                             let row = t.row(p).expect("live");
-                                            StatsCells::bump(&self.stats.rows_scanned, 1);
-                                            env.set_values(row);
-                                            if self.eval_bool(filter, &env, ctx, &HashMap::new())?
-                                                == Some(true)
-                                            {
+                                            scanned.add(1);
+                                            if filter_row.test(row, &ex)? {
                                                 out.push(p);
                                             }
                                         }
@@ -3219,9 +3229,7 @@ impl Database {
                     if qual_ok {
                         if let Some(ci) = t.schema.column_index(name) {
                             if t.has_index(ci) || t.has_ordered_index(ci) {
-                                if let Some(probe) =
-                                    self.cached_in_list(list, ctx, &HashMap::new())?
-                                {
+                                if let Some(probe) = self.cached_in_list(list, ctx, &no_ctes)? {
                                     StatsCells::bump(&self.stats.index_scans, 1);
                                     let mut out = Vec::new();
                                     for key in &probe.set {
@@ -3229,15 +3237,8 @@ impl Database {
                                             StatsCells::bump(&self.stats.index_lookups, 1);
                                             for &p in positions {
                                                 let row = t.row(p).expect("live");
-                                                StatsCells::bump(&self.stats.rows_scanned, 1);
-                                                env.set_values(row);
-                                                if self.eval_bool(
-                                                    filter,
-                                                    &env,
-                                                    ctx,
-                                                    &HashMap::new(),
-                                                )? == Some(true)
-                                                {
+                                                scanned.add(1);
+                                                if filter_row.test(row, &ex)? {
                                                     out.push(p);
                                                 }
                                             }
@@ -3255,11 +3256,10 @@ impl Database {
         // Full scan.
         StatsCells::bump(&self.stats.seq_scans, 1);
         let mut out = Vec::new();
-        for p in t.live_positions() {
-            let row = t.row(p).expect("live position");
-            StatsCells::bump(&self.stats.rows_scanned, 1);
-            env.set_values(row);
-            if self.eval_bool(filter, &env, ctx, &HashMap::new())? == Some(true) {
+        for (p, slot) in t.slots_raw().iter().enumerate() {
+            let Some(row) = slot else { continue };
+            scanned.add(1);
+            if filter_row.test(row, &ex)? {
                 out.push(p);
             }
         }
@@ -3272,7 +3272,6 @@ impl Database {
         &self,
         t: &Table,
         filter: &'e Expr,
-        _columns: &[String],
     ) -> Option<(usize, &'e Expr)> {
         for conj in filter.conjuncts() {
             if let Expr::Binary {

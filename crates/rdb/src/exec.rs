@@ -5,9 +5,19 @@
 //! the table's slot array by reference and only clone rows that survive
 //! the predicates pushed down into the scan, instead of cloning whole
 //! tables up front the way the old AST interpreter did.
+//!
+//! Row filters are bound once per scan, not once per row: a
+//! [`RowFilter`] turns each `a <cmp> b` conjunct whose sides are columns
+//! or row-independent expressions into offsets and once-evaluated
+//! values, and compares the borrowed row values with [`cmp_truth`].
+//! Every other conjunct goes through `eval_bool`. Scans, the residual
+//! filter and the DML `WHERE` loops (`Database::select_positions`) all
+//! use it; naive planner mode binds nothing. Scans count the rows they
+//! read locally and add the count to `rows_scanned` once per scan
+//! ([`RowsScanned`]).
 
 use std::borrow::Cow;
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 use std::time::Instant;
@@ -114,44 +124,188 @@ impl Scope for SliceEnv<'_> {
     }
 }
 
-/// Row environment during expression evaluation: bindings with their
-/// column names, laid out contiguously in `values`. Owned variant used
-/// by the DML paths (INSERT/UPDATE/DELETE), which bind one table's row.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct RowEnv {
-    /// (binding name, column names, offset into `values`).
-    pub layout: Vec<(String, Vec<String>, usize)>,
-    pub values: Vec<Value>,
+impl SliceEnv<'static> {
+    /// The scope with no bindings, for row-independent evaluation.
+    pub(crate) const EMPTY: SliceEnv<'static> = SliceEnv {
+        layout: &[],
+        values: &[],
+    };
 }
 
-impl RowEnv {
-    pub fn single(binding: &str, columns: &[String], row: &[Value]) -> Self {
-        RowEnv {
-            layout: vec![(binding.to_string(), columns.to_vec(), 0)],
-            values: row.to_vec(),
+/// SQL comparison under three-valued logic: unknown (`None`) when
+/// either side is NULL; values of incomparable types are unequal.
+fn cmp_truth(l: &Value, op: BinOp, r: &Value) -> Option<bool> {
+    match l.sql_cmp(r) {
+        Some(ord) => Some(match op {
+            BinOp::Eq => ord.is_eq(),
+            BinOp::Ne => !ord.is_eq(),
+            BinOp::Lt => ord.is_lt(),
+            BinOp::Le => ord.is_le(),
+            BinOp::Gt => ord.is_gt(),
+            BinOp::Ge => ord.is_ge(),
+            _ => unreachable!("cmp_truth on a non-comparison operator"),
+        }),
+        None if l.is_null() || r.is_null() => None,
+        None => Some(op == BinOp::Ne),
+    }
+}
+
+/// One side of a bound comparison.
+enum Side<'e> {
+    /// A column of the filtered row, by offset.
+    Col(usize),
+    /// A row-independent expression, evaluated on the first row that
+    /// needs it and reused for the rest of the scan.
+    Fixed(&'e Expr, OnceCell<Value>),
+}
+
+/// One conjunct of a [`RowFilter`].
+enum Conj<'e> {
+    /// `a <cmp> b` with both sides bound.
+    Cmp(Side<'e>, BinOp, Side<'e>),
+    /// Anything else, evaluated per row through `eval_bool`.
+    Expr(&'e Expr),
+}
+
+/// A conjunctive row filter resolved against its layout once per scan
+/// (or per DML statement) instead of once per row. Rows are tested by
+/// reference; bound comparisons read the row's values in place.
+pub(crate) struct RowFilter<'e> {
+    conjs: Vec<Conj<'e>>,
+    layout: Cow<'e, [(String, Vec<String>, usize)]>,
+    /// Whether an unknown (NULL) conjunct lets evaluation go on to the
+    /// next one, as `eval_bool` over the whole `AND` tree does; the
+    /// cursor filters stop at the first conjunct that is not true. A row
+    /// passes either way only if every conjunct is true.
+    through_null: bool,
+}
+
+impl<'e> RowFilter<'e> {
+    /// Bind `conjuncts` (kept in order) against `layout`. With `bind`
+    /// off (naive planner mode) every conjunct stays unbound.
+    pub(crate) fn new(
+        conjuncts: impl IntoIterator<Item = &'e Expr>,
+        layout: Cow<'e, [(String, Vec<String>, usize)]>,
+        bind: bool,
+        through_null: bool,
+    ) -> Self {
+        // A binding named OLD or NEW shadows the trigger pseudo-row, so
+        // `OLD.x` inside a larger expression may read the row itself.
+        let shadowed = layout
+            .iter()
+            .any(|(b, _, _)| b.eq_ignore_ascii_case("OLD") || b.eq_ignore_ascii_case("NEW"));
+        let side = |e: &'e Expr| -> Option<Side<'e>> {
+            if let Expr::Column { table, name } = e {
+                if let Ok(Some(off)) = layout_resolve(&layout, table.as_deref(), name) {
+                    return Some(Side::Col(off));
+                }
+            }
+            let fixed = match e {
+                Expr::Literal(_) | Expr::Param(_) => true,
+                _ => !shadowed && Database::row_independent(e),
+            };
+            fixed.then(|| Side::Fixed(e, OnceCell::new()))
+        };
+        let conjs = conjuncts
+            .into_iter()
+            .map(|e| match e {
+                Expr::Binary { left, op, right } if bind && op.is_comparison() => {
+                    match (side(left), side(right)) {
+                        (Some(l), Some(r)) => Conj::Cmp(l, *op, r),
+                        _ => Conj::Expr(e),
+                    }
+                }
+                _ => Conj::Expr(e),
+            })
+            .collect();
+        RowFilter {
+            conjs,
+            layout,
+            through_null,
         }
     }
 
-    /// Rebind the environment to a new row without rebuilding the layout.
-    /// Hot per-row loops construct the layout once per statement and call
-    /// this per tuple.
-    pub fn set_values(&mut self, row: &[Value]) {
-        self.values.clear();
-        self.values.extend_from_slice(row);
+    fn side<'s>(
+        &'s self,
+        s: &'s Side<'_>,
+        row: &'s [Value],
+        ex: &ExecCtx<'_, '_>,
+    ) -> Result<&'s Value> {
+        match s {
+            Side::Col(off) => Ok(&row[*off]),
+            Side::Fixed(e, cell) => {
+                if let Some(v) = cell.get() {
+                    return Ok(v);
+                }
+                let env = SliceEnv {
+                    layout: &self.layout,
+                    values: row,
+                };
+                let v = ex.db.eval_expr(e, &env, ex.ctx, ex.ctes)?;
+                Ok(cell.get_or_init(|| v))
+            }
+        }
     }
 
-    /// Resolve a possibly-qualified column to an offset.
-    pub fn resolve(&self, table: Option<&str>, name: &str) -> Result<Option<usize>> {
-        layout_resolve(&self.layout, table, name)
+    /// Does `row` satisfy every conjunct?
+    pub(crate) fn test(&self, row: &[Value], ex: &ExecCtx<'_, '_>) -> Result<bool> {
+        let mut unknown = false;
+        for c in &self.conjs {
+            let truth = match c {
+                Conj::Cmp(l, op, r) => {
+                    let l = self.side(l, row, ex)?;
+                    cmp_truth(l, *op, self.side(r, row, ex)?)
+                }
+                Conj::Expr(e) => {
+                    let env = SliceEnv {
+                        layout: &self.layout,
+                        values: row,
+                    };
+                    ex.db.eval_bool(e, &env, ex.ctx, ex.ctes)?
+                }
+            };
+            match truth {
+                Some(true) => {}
+                None if self.through_null => unknown = true,
+                _ => return Ok(false),
+            }
+        }
+        Ok(!unknown)
     }
 }
 
-impl Scope for RowEnv {
-    fn resolve(&self, table: Option<&str>, name: &str) -> Result<Option<usize>> {
-        RowEnv::resolve(self, table, name)
+/// Rows one scan has read. The count goes to the shared `rows_scanned`
+/// counter once, when the scan ends or is dropped (a `LIMIT` may
+/// abandon it), instead of once per row.
+pub(crate) struct RowsScanned<'a> {
+    stats: &'a StatsCells,
+    n: Cell<u64>,
+}
+
+impl<'a> RowsScanned<'a> {
+    pub(crate) fn new(stats: &'a StatsCells) -> Self {
+        RowsScanned {
+            stats,
+            n: Cell::new(0),
+        }
     }
-    fn value(&self, off: usize) -> &Value {
-        &self.values[off]
+
+    pub(crate) fn add(&self, by: u64) {
+        self.n.set(self.n.get() + by);
+    }
+
+    /// Add the count so far to the shared counter.
+    pub(crate) fn flush(&self) {
+        let n = self.n.replace(0);
+        if n > 0 {
+            StatsCells::bump(&self.stats.rows_scanned, n);
+        }
+    }
+}
+
+impl Drop for RowsScanned<'_> {
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 
@@ -478,19 +632,32 @@ enum ScanState<'a> {
 pub(crate) struct ScanCur<'a> {
     plan: &'a ScanPlan,
     src: ScanSrc<'a>,
-    layout: Vec<(String, Vec<String>, usize)>,
+    /// The pushed-down conjuncts, bound to this scan's binding.
+    filter: RowFilter<'a>,
+    scanned: RowsScanned<'a>,
     state: ScanState<'a>,
     /// `EXPLAIN ANALYZE` actuals; `None` on the plain execution path.
     prof: Option<&'a OpProf>,
 }
 
 impl<'a> ScanCur<'a> {
-    fn new(plan: &'a ScanPlan, src: ScanSrc<'a>, prof: Option<&'a OpProf>) -> Self {
+    fn new(
+        db: &'a Database,
+        plan: &'a ScanPlan,
+        src: ScanSrc<'a>,
+        prof: Option<&'a OpProf>,
+    ) -> Self {
         let layout = vec![(plan.binding.clone(), plan.columns.clone(), 0)];
         ScanCur {
             plan,
             src,
-            layout,
+            filter: RowFilter::new(
+                &plan.pushed,
+                Cow::Owned(layout),
+                !db.planner_naive.get(),
+                false,
+            ),
+            scanned: RowsScanned::new(&db.stats),
             state: ScanState::Start,
             prof,
         }
@@ -504,19 +671,7 @@ impl<'a> ScanCur<'a> {
 
     /// Do all pushed-down conjuncts accept this row?
     fn passes(&self, row: &[Value], ex: &ExecCtx<'_, '_>) -> Result<bool> {
-        if self.plan.pushed.is_empty() {
-            return Ok(true);
-        }
-        let env = SliceEnv {
-            layout: &self.layout,
-            values: row,
-        };
-        for p in &self.plan.pushed {
-            if ex.db.eval_bool(p, &env, ex.ctx, ex.ctes)? != Some(true) {
-                return Ok(false);
-            }
-        }
-        Ok(true)
+        self.filter.test(row, ex)
     }
 
     fn start(&self, ex: &ExecCtx<'_, '_>) -> Result<ScanState<'a>> {
@@ -568,17 +723,13 @@ impl<'a> ScanCur<'a> {
             (Access::IndexEq { ci, key }, ScanSrc::Table(t)) => {
                 StatsCells::bump(&ex.db.stats.index_scans, 1);
                 self.prof_loop(1);
-                let empty = SliceEnv {
-                    layout: &[],
-                    values: &[],
-                };
-                let keyv = ex.db.eval_expr(key, &empty, ex.ctx, ex.ctes)?;
+                let keyv = ex.db.eval_expr(key, &SliceEnv::EMPTY, ex.ctx, ex.ctes)?;
                 let mut rows = Vec::new();
                 if !keyv.is_null() {
                     if let Some(ps) = t.index_lookup(*ci, &keyv) {
                         StatsCells::bump(&ex.db.stats.index_lookups, 1);
                         for &p in ps {
-                            StatsCells::bump(&ex.db.stats.rows_scanned, 1);
+                            self.scanned.add(1);
                             let row = t.row(p).expect("index points at live row");
                             if self.passes(row, ex)? {
                                 rows.push(row.clone());
@@ -597,7 +748,7 @@ impl<'a> ScanCur<'a> {
                     if let Some(ps) = t.index_lookup(*ci, keyv) {
                         StatsCells::bump(&ex.db.stats.index_lookups, 1);
                         for &p in ps {
-                            StatsCells::bump(&ex.db.stats.rows_scanned, 1);
+                            self.scanned.add(1);
                             let row = t.row(p).expect("index points at live row");
                             if self.passes(row, ex)? {
                                 rows.push(row.clone());
@@ -619,7 +770,7 @@ impl<'a> ScanCur<'a> {
                     if let Some(ps) = t.index_lookup(*ci, keyv) {
                         StatsCells::bump(&ex.db.stats.index_lookups, 1);
                         for &p in ps {
-                            StatsCells::bump(&ex.db.stats.rows_scanned, 1);
+                            self.scanned.add(1);
                             let row = t.row(p).expect("index points at live row");
                             if self.passes(row, ex)? {
                                 rows.push(row.clone());
@@ -652,13 +803,12 @@ impl<'a> ScanCur<'a> {
         ordered: bool,
         desc: bool,
     ) -> Result<ScanState<'a>> {
-        let empty = SliceEnv {
-            layout: &[],
-            values: &[],
-        };
         let eval_bound = |b: &Option<(Expr, bool)>| -> Result<Option<(Value, bool)>> {
             Ok(match b {
-                Some((e, incl)) => Some((ex.db.eval_expr(e, &empty, ex.ctx, ex.ctes)?, *incl)),
+                Some((e, incl)) => Some((
+                    ex.db.eval_expr(e, &SliceEnv::EMPTY, ex.ctx, ex.ctes)?,
+                    *incl,
+                )),
                 None => None,
             })
         };
@@ -703,7 +853,7 @@ impl<'a> ScanCur<'a> {
     fn start_backed_seq(&self, ex: &ExecCtx<'_, '_>, t: &Table) -> Result<ScanState<'a>> {
         let mut rows = Vec::new();
         for (_, row) in t.backed_scan()? {
-            StatsCells::bump(&ex.db.stats.rows_scanned, 1);
+            self.scanned.add(1);
             if self.passes(&row, ex)? {
                 rows.push(row);
             }
@@ -729,16 +879,12 @@ impl<'a> ScanCur<'a> {
             Access::IndexEq { ci, key } => {
                 StatsCells::bump(&ex.db.stats.index_scans, 1);
                 self.prof_loop(1);
-                let empty = SliceEnv {
-                    layout: &[],
-                    values: &[],
-                };
-                let keyv = ex.db.eval_expr(key, &empty, ex.ctx, ex.ctes)?;
+                let keyv = ex.db.eval_expr(key, &SliceEnv::EMPTY, ex.ctx, ex.ctes)?;
                 if !keyv.is_null() {
                     if let Some(ps) = t.index_lookup(*ci, &keyv) {
                         StatsCells::bump(&ex.db.stats.index_lookups, 1);
                         for &p in ps {
-                            StatsCells::bump(&ex.db.stats.rows_scanned, 1);
+                            self.scanned.add(1);
                             let row = fetch(p)?;
                             if self.passes(&row, ex)? {
                                 rows.push(row);
@@ -755,7 +901,7 @@ impl<'a> ScanCur<'a> {
                     if let Some(ps) = t.index_lookup(*ci, keyv) {
                         StatsCells::bump(&ex.db.stats.index_lookups, 1);
                         for &p in ps {
-                            StatsCells::bump(&ex.db.stats.rows_scanned, 1);
+                            self.scanned.add(1);
                             let row = fetch(p)?;
                             if self.passes(&row, ex)? {
                                 rows.push(row);
@@ -775,7 +921,7 @@ impl<'a> ScanCur<'a> {
                     if let Some(ps) = t.index_lookup(*ci, keyv) {
                         StatsCells::bump(&ex.db.stats.index_lookups, 1);
                         for &p in ps {
-                            StatsCells::bump(&ex.db.stats.rows_scanned, 1);
+                            self.scanned.add(1);
                             let row = fetch(p)?;
                             if self.passes(&row, ex)? {
                                 rows.push(row);
@@ -807,21 +953,17 @@ impl<'a> ScanCur<'a> {
         match &self.plan.access {
             Access::Seq => {
                 for row in visible {
-                    StatsCells::bump(&ex.db.stats.rows_scanned, 1);
+                    self.scanned.add(1);
                     if self.passes(&row, ex)? {
                         rows.push(row);
                     }
                 }
             }
             Access::IndexEq { ci, key } => {
-                let empty = SliceEnv {
-                    layout: &[],
-                    values: &[],
-                };
-                let keyv = ex.db.eval_expr(key, &empty, ex.ctx, ex.ctes)?;
+                let keyv = ex.db.eval_expr(key, &SliceEnv::EMPTY, ex.ctx, ex.ctes)?;
                 if !keyv.is_null() {
                     for row in visible {
-                        StatsCells::bump(&ex.db.stats.rows_scanned, 1);
+                        self.scanned.add(1);
                         if row[*ci] == keyv && self.passes(&row, ex)? {
                             rows.push(row);
                         }
@@ -831,7 +973,7 @@ impl<'a> ScanCur<'a> {
             Access::IndexIn { ci, query } => {
                 let sub = ex.db.cached_subquery(query, ex.ctx)?;
                 for row in visible {
-                    StatsCells::bump(&ex.db.stats.rows_scanned, 1);
+                    self.scanned.add(1);
                     if sub.set.contains(&row[*ci]) && self.passes(&row, ex)? {
                         rows.push(row);
                     }
@@ -843,7 +985,7 @@ impl<'a> ScanCur<'a> {
                     .cached_in_list(list, ex.ctx, ex.ctes)?
                     .expect("planner only picks row-independent lists");
                 for row in visible {
-                    StatsCells::bump(&ex.db.stats.rows_scanned, 1);
+                    self.scanned.add(1);
                     if probe.set.contains(&row[*ci]) && self.passes(&row, ex)? {
                         rows.push(row);
                     }
@@ -862,22 +1004,19 @@ impl<'a> ScanCur<'a> {
                 // order, matching the ordered walk) when key order was
                 // promised.
                 use std::cmp::Ordering;
-                let empty = SliceEnv {
-                    layout: &[],
-                    values: &[],
-                };
                 let eval_bound = |b: &Option<(Expr, bool)>| -> Result<Option<(Value, bool)>> {
                     Ok(match b {
-                        Some((e, incl)) => {
-                            Some((ex.db.eval_expr(e, &empty, ex.ctx, ex.ctes)?, *incl))
-                        }
+                        Some((e, incl)) => Some((
+                            ex.db.eval_expr(e, &SliceEnv::EMPTY, ex.ctx, ex.ctes)?,
+                            *incl,
+                        )),
                         None => None,
                     })
                 };
                 let lo = eval_bound(lower)?;
                 let hi = eval_bound(upper)?;
                 for row in visible {
-                    StatsCells::bump(&ex.db.stats.rows_scanned, 1);
+                    self.scanned.add(1);
                     let k = &row[*ci];
                     let lo_ok = lo.as_ref().is_none_or(|(v, incl)| match k.sort_cmp(v) {
                         Ordering::Greater => true,
@@ -939,7 +1078,7 @@ impl ScanCur<'_> {
             .index_lookup(ci, key)
             .expect("can_probe checked the index");
         StatsCells::bump(&ex.db.stats.index_lookups, 1);
-        StatsCells::bump(&ex.db.stats.rows_scanned, bucket.len() as u64);
+        self.scanned.add(bucket.len() as u64);
         let ps: Cow<[usize]> = if bucket.is_sorted() {
             Cow::Borrowed(bucket)
         } else {
@@ -971,7 +1110,17 @@ impl ScanCur<'_> {
         Ok(())
     }
 
+    /// The next row that passes; the scan's row count is added to
+    /// `rows_scanned` when it runs out.
     fn next_inner(&mut self, ex: &ExecCtx<'_, '_>) -> Result<Option<Row>> {
+        let r = self.advance(ex);
+        if matches!(r, Ok(None)) {
+            self.scanned.flush();
+        }
+        r
+    }
+
+    fn advance(&mut self, ex: &ExecCtx<'_, '_>) -> Result<Option<Row>> {
         loop {
             match std::mem::replace(&mut self.state, ScanState::Done) {
                 ScanState::Start => {
@@ -984,7 +1133,7 @@ impl ScanCur<'_> {
                     let slots = t.slots_raw();
                     while pos < slots.len() {
                         if let Some(row) = &slots[pos] {
-                            StatsCells::bump(&ex.db.stats.rows_scanned, 1);
+                            self.scanned.add(1);
                             if self.passes(row, ex)? {
                                 let out = row.clone();
                                 self.state = ScanState::SeqTable { pos: pos + 1 };
@@ -1000,7 +1149,7 @@ impl ScanCur<'_> {
                         unreachable!("SeqMat state implies a materialized source")
                     };
                     while i < rows.len() {
-                        StatsCells::bump(&ex.db.stats.rows_scanned, 1);
+                        self.scanned.add(1);
                         if self.passes(&rows[i], ex)? {
                             let out = rows[i].clone();
                             self.state = ScanState::SeqMat { i: i + 1 };
@@ -1025,7 +1174,7 @@ impl ScanCur<'_> {
                     while i < ps.len() {
                         let p = ps[i];
                         i += 1;
-                        StatsCells::bump(&ex.db.stats.rows_scanned, 1);
+                        self.scanned.add(1);
                         let row = if backed {
                             Some(backed_fetch(t, p)?)
                         } else {
@@ -1048,7 +1197,7 @@ impl ScanCur<'_> {
                         unreachable!("PosIter state implies a table source")
                     };
                     for p in iter.by_ref() {
-                        StatsCells::bump(&ex.db.stats.rows_scanned, 1);
+                        self.scanned.add(1);
                         let row = if backed {
                             Some(backed_fetch(t, p)?)
                         } else {
@@ -1296,23 +1445,15 @@ impl Cursor for LoopJoinCur<'_> {
 /// Residual predicate filter over the full joined layout.
 struct FilterCur<'a> {
     input: BoxCursor<'a>,
-    residual: &'a [Expr],
-    layout: &'a [(String, Vec<String>, usize)],
+    residual: RowFilter<'a>,
 }
 
 impl Cursor for FilterCur<'_> {
     fn next(&mut self, ex: &ExecCtx<'_, '_>) -> Result<Option<Row>> {
-        'rows: while let Some(row) = self.input.next(ex)? {
-            let env = SliceEnv {
-                layout: self.layout,
-                values: &row,
-            };
-            for p in self.residual {
-                if ex.db.eval_bool(p, &env, ex.ctx, ex.ctes)? != Some(true) {
-                    continue 'rows;
-                }
+        while let Some(row) = self.input.next(ex)? {
+            if self.residual.test(&row, ex)? {
+                return Ok(Some(row));
             }
-            return Ok(Some(row));
         }
         Ok(None)
     }
@@ -1327,17 +1468,10 @@ impl Cursor for FilterCur<'_> {
                 Some(s) => Box::new(s.iter().copied()),
                 None => Box::new(0..batch.rows.len() as u32),
             };
-            'rows: for i in candidates {
-                let env = SliceEnv {
-                    layout: self.layout,
-                    values: &batch.rows[i as usize],
-                };
-                for p in self.residual {
-                    if ex.db.eval_bool(p, &env, ex.ctx, ex.ctes)? != Some(true) {
-                        continue 'rows;
-                    }
+            for i in candidates {
+                if self.residual.test(&batch.rows[i as usize], ex)? {
+                    sel.push(i);
                 }
-                sel.push(i);
             }
             if !sel.is_empty() {
                 return Ok(Some(RowBatch {
@@ -1481,7 +1615,7 @@ impl Database {
                 .ok_or_else(|| DbError::NoSuchTable(plan.name.clone()))?;
             ScanSrc::Table(t)
         };
-        Ok(ScanCur::new(plan, src, prof))
+        Ok(ScanCur::new(self, plan, src, prof))
     }
 
     /// Assemble the cursor tree for one SELECT core. With `prof` set
@@ -1550,8 +1684,12 @@ impl Database {
         if !core.residual.is_empty() {
             cur = Box::new(FilterCur {
                 input: cur,
-                residual: &core.residual,
-                layout: &core.layout,
+                residual: RowFilter::new(
+                    &core.residual,
+                    Cow::Borrowed(&core.layout),
+                    !self.planner_naive.get(),
+                    false,
+                ),
             });
             cur = wrap(cur, prof.map(|p| &p.filter));
         }
@@ -1911,23 +2049,8 @@ impl Database {
         ctes: &CteEnv,
     ) -> Result<Value> {
         match e {
-            Expr::Literal(v) => Ok(v.clone()),
-            Expr::Param(i) => ctx
-                .params
-                .get(*i)
-                .cloned()
-                .ok_or_else(|| DbError::Execution(format!("unbound parameter ${}", i + 1))),
-            Expr::Column { table, name } => {
-                if let Some(off) = env.resolve(table.as_deref(), name)? {
-                    return Ok(env.value(off).clone());
-                }
-                if let Some(v) = self.pseudo_lookup(ctx, table.as_deref(), name) {
-                    return Ok(v);
-                }
-                Err(DbError::NoSuchColumn(match table {
-                    Some(t) => format!("{t}.{name}"),
-                    None => name.clone(),
-                }))
+            Expr::Literal(_) | Expr::Param(_) | Expr::Column { .. } => {
+                self.operand(e, env, ctx, ctes).map(Cow::into_owned)
             }
             Expr::Unary { op, expr } => {
                 let v = self.eval_expr(expr, env, ctx, ctes)?;
@@ -1965,36 +2088,15 @@ impl Database {
                         _ => unreachable!(),
                     });
                 }
-                let l = self.eval_expr(left, env, ctx, ctes)?;
-                let r = self.eval_expr(right, env, ctx, ctes)?;
+                let l = self.operand(left, env, ctx, ctes)?;
+                let r = self.operand(right, env, ctx, ctes)?;
                 if op.is_comparison() {
-                    return Ok(match l.sql_cmp(&r) {
-                        None => {
-                            if l.is_null() || r.is_null() {
-                                Value::Null
-                            } else {
-                                // Incomparable types: unequal.
-                                match op {
-                                    BinOp::Ne => Value::Bool(true),
-                                    _ => Value::Bool(false),
-                                }
-                            }
-                        }
-                        Some(ord) => Value::Bool(match op {
-                            BinOp::Eq => ord.is_eq(),
-                            BinOp::Ne => !ord.is_eq(),
-                            BinOp::Lt => ord.is_lt(),
-                            BinOp::Le => ord.is_le(),
-                            BinOp::Gt => ord.is_gt(),
-                            BinOp::Ge => ord.is_ge(),
-                            _ => unreachable!(),
-                        }),
-                    });
+                    return Ok(cmp_truth(&l, *op, &r).map_or(Value::Null, Value::Bool));
                 }
                 // Arithmetic.
-                match (l, r) {
+                match (&*l, &*r) {
                     (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
-                    (Value::Int(a), Value::Int(b)) => match op {
+                    (&Value::Int(a), &Value::Int(b)) => match op {
                         BinOp::Add => Ok(Value::Int(a.wrapping_add(b))),
                         BinOp::Sub => Ok(Value::Int(a.wrapping_sub(b))),
                         BinOp::Mul => Ok(Value::Int(a.wrapping_mul(b))),
@@ -2111,6 +2213,38 @@ impl Database {
         }
     }
 
+    /// Evaluate an operand, borrowing column, parameter and literal
+    /// values instead of cloning them.
+    fn operand<'v>(
+        &self,
+        e: &'v Expr,
+        env: &'v dyn Scope,
+        ctx: &'v EvalCtx<'_>,
+        ctes: &CteEnv,
+    ) -> Result<Cow<'v, Value>> {
+        match e {
+            Expr::Literal(v) => Ok(Cow::Borrowed(v)),
+            Expr::Param(i) => ctx
+                .params
+                .get(*i)
+                .map(Cow::Borrowed)
+                .ok_or_else(|| DbError::Execution(format!("unbound parameter ${}", i + 1))),
+            Expr::Column { table, name } => {
+                if let Some(off) = env.resolve(table.as_deref(), name)? {
+                    return Ok(Cow::Borrowed(env.value(off)));
+                }
+                if let Some(v) = self.pseudo_lookup(ctx, table.as_deref(), name) {
+                    return Ok(Cow::Owned(v));
+                }
+                Err(DbError::NoSuchColumn(match table {
+                    Some(t) => format!("{t}.{name}"),
+                    None => name.clone(),
+                }))
+            }
+            _ => self.eval_expr(e, env, ctx, ctes).map(Cow::Owned),
+        }
+    }
+
     pub(crate) fn cached_subquery(
         &self,
         q: &SelectStmt,
@@ -2159,14 +2293,10 @@ impl Database {
             return Ok(None);
         }
         StatsCells::bump(&self.stats.in_list_builds, 1);
-        let empty = SliceEnv {
-            layout: &[],
-            values: &[],
-        };
         let mut set = HashSet::with_capacity(list.len());
         let mut has_null = false;
         for item in list {
-            let v = self.eval_expr(item, &empty, ctx, ctes)?;
+            let v = self.eval_expr(item, &SliceEnv::EMPTY, ctx, ctes)?;
             if v.is_null() {
                 has_null = true;
             } else {
@@ -2282,7 +2412,7 @@ impl Database {
                     op: *op,
                     right: Box::new(Expr::Literal(r)),
                 };
-                self.eval_expr(&combined, &RowEnv::default(), ctx, ctes)
+                self.eval_expr(&combined, &SliceEnv::EMPTY, ctx, ctes)
             }
             Expr::Unary { op, expr } => {
                 let v = self.eval_aggregate_expr(expr, layout, rows, ctx, ctes)?;
@@ -2290,7 +2420,7 @@ impl Database {
                     op: *op,
                     expr: Box::new(Expr::Literal(v)),
                 };
-                self.eval_expr(&combined, &RowEnv::default(), ctx, ctes)
+                self.eval_expr(&combined, &SliceEnv::EMPTY, ctx, ctes)
             }
             Expr::Literal(v) => Ok(v.clone()),
             Expr::Param(i) => ctx

@@ -1337,7 +1337,7 @@ impl Database {
             None => String::new(),
         };
         if let Some(f) = filter {
-            if let Some((ci, key_expr)) = self.find_index_probe(t, f, &[]) {
+            if let Some((ci, key_expr)) = self.find_index_probe(t, f) {
                 push(
                     lines,
                     ind,

@@ -11,7 +11,9 @@
 //!
 //! A line that grows past the bound gets one `ERR` reply and the
 //! connection is closed, so no client can grow the server's buffer
-//! without limit.
+//! without limit. Likewise at most [`MAX_CONNECTIONS`] connections are
+//! served at once; one more gets `ERR too many connections` and is
+//! closed.
 //!
 //! `BEGIN`/`COMMIT`/`ROLLBACK` scope a per-connection transaction via
 //! [`Session`]; a connection that drops mid-transaction is rolled back
@@ -40,6 +42,9 @@ use std::time::Duration;
 /// Longest statement line the server accepts, newline excluded.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
+/// Most connections served at once; each holds a handler thread.
+pub const MAX_CONNECTIONS: usize = 64;
+
 /// TCP server builder: binds and spawns the accept loop.
 pub struct Server;
 
@@ -58,7 +63,13 @@ impl Server {
             let mut handlers: Vec<JoinHandle<()>> = Vec::new();
             while !accept_stop.load(Ordering::Acquire) {
                 match listener.accept() {
-                    Ok((stream, _)) => {
+                    Ok((mut stream, _)) => {
+                        handlers.retain(|h| !h.is_finished());
+                        if handlers.len() >= MAX_CONNECTIONS {
+                            // Dropping the stream closes it.
+                            let _ = stream.write_all(b"ERR too many connections\n");
+                            continue;
+                        }
                         let shared = accept_shared.clone();
                         let stop = accept_stop.clone();
                         handlers.push(std::thread::spawn(move || {

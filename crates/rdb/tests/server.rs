@@ -297,3 +297,59 @@ fn overlong_line_is_refused_and_the_connection_closed() {
     assert_eq!(c.lines.read_line(&mut rest).unwrap(), 0, "{rest}");
     handle.shutdown();
 }
+
+#[test]
+fn connections_past_the_cap_are_refused_until_one_closes() {
+    use std::time::{Duration, Instant};
+    use xmlup_rdb::server::MAX_CONNECTIONS;
+    let (handle, _shared) = serve();
+    // One round trip each, so every held connection has a live handler.
+    let mut held: Vec<Client> = (0..MAX_CONNECTIONS)
+        .map(|_| {
+            let mut c = Client::connect(handle.addr());
+            assert_eq!(c.send("SELECT COUNT(*) FROM t").0, "ROWS 1");
+            c
+        })
+        .collect();
+    let mut over = Client::connect(handle.addr());
+    over.out
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    assert_eq!(over.read_line(), "ERR too many connections");
+    let mut rest = String::new();
+    assert_eq!(over.lines.read_line(&mut rest).unwrap(), 0, "{rest}");
+
+    // Closing one frees its place once its handler has seen the EOF.
+    let mut gone = held.pop().unwrap();
+    writeln!(gone.out, "QUIT").unwrap();
+    drop(gone);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        assert!(
+            Instant::now() < deadline,
+            "no connection served after one closed"
+        );
+        // A refused connection is told so unprompted; a served one stays
+        // silent until it gets a statement. Writing to a refused socket
+        // could reset it before the refusal is read, so listen first.
+        let mut c = Client::connect(handle.addr());
+        c.out
+            .set_read_timeout(Some(Duration::from_millis(200)))
+            .unwrap();
+        let mut line = String::new();
+        if c.lines.read_line(&mut line).is_ok() {
+            assert_eq!(line.trim_end(), "ERR too many connections");
+            std::thread::sleep(Duration::from_millis(20));
+            continue;
+        }
+        c.out.set_read_timeout(None).unwrap();
+        let (head, rows) = c.send("SELECT COUNT(*) FROM t");
+        if head == "ROWS 1" {
+            assert_eq!(rows, vec!["2"]);
+            break;
+        }
+        assert_eq!(head, "ERR too many connections");
+    }
+    drop(held);
+    handle.shutdown();
+}

@@ -409,6 +409,22 @@ fn stats_track_statement_counts() {
 }
 
 #[test]
+fn scan_abandoned_by_limit_still_counts_its_rows() {
+    let mut db = Database::new();
+    db.run_script(
+        "CREATE TABLE t (id INTEGER, v INTEGER);
+         INSERT INTO t VALUES (1, 0), (2, 1), (3, 0), (4, 1), (5, 0);",
+    )
+    .unwrap();
+    db.reset_stats();
+    // The scan stops at its second match, the fourth row; the fifth
+    // is never read.
+    let rs = db.query("SELECT id FROM t WHERE v = 1 LIMIT 2").unwrap();
+    assert_eq!(rs.rows.len(), 2);
+    assert_eq!(db.stats().rows_scanned, 4);
+}
+
+#[test]
 fn index_lookup_used_for_equality_delete() {
     let mut db = customer_db();
     db.reset_stats();
