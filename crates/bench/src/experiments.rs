@@ -1813,16 +1813,18 @@ pub struct StoragePoolRow {
     pub pool_frames: usize,
     /// Pages the store has allocated (the dataset size in pages).
     pub pages_allocated: u64,
-    /// Total time for the scan batch.
-    pub scan_ms: Millis,
-    /// Total time for the point-read batch.
-    pub point_ms: Millis,
-    /// Pool hits over the measured batches.
+    /// Total time for the update batch, its commit included.
+    pub update_ms: Millis,
+    /// Time for the checkpoint that follows the batch.
+    pub checkpoint_ms: Millis,
+    /// Pool hits over the batch and the checkpoint.
     pub hits: u64,
     /// Pool misses (page loads from disk).
     pub misses: u64,
     /// Frames evicted to make room.
     pub evictions: u64,
+    /// Dirty frames written back on eviction.
+    pub writebacks: u64,
 }
 
 /// One recovery point: reopen time after a random-update run was killed,
@@ -1847,7 +1849,7 @@ pub struct StorageRecoveryRow {
 pub struct StorageEngineReport {
     /// Checkpoint cost vs dirty fraction.
     pub checkpoints: Vec<StorageCheckpointRow>,
-    /// Scan/point-read cost vs pool budget.
+    /// Update + checkpoint cost vs pool budget.
     pub pool: Vec<StoragePoolRow>,
     /// Recovery time per backend.
     pub recovery: Vec<StorageRecoveryRow>,
@@ -1944,41 +1946,48 @@ pub fn storage_checkpoints(sf: usize, fractions: &[f64]) -> Vec<StorageCheckpoin
     rows
 }
 
-/// Scan/point-read cost at different pool budgets over the same paged
-/// dataset: small pools thrash (misses + evictions on every pass), large
-/// pools serve from memory after the first pass.
+/// Write-path cost at different pool budgets over the same paged
+/// dataset. Reads never touch the pool (rows are served from the
+/// in-memory heap); the pages take the mirror writes. Per budget: one
+/// transaction of `UPDATES` `n1` updates spread over the table, each
+/// mirrored into its B-tree leaf, then one checkpoint. Small pools
+/// thrash — the mirror writes miss, evict and write dirty frames back
+/// before the checkpoint — while a pool that holds the touched pages
+/// absorbs the batch and leaves the flush to the checkpoint.
 pub fn storage_pool_sweep(sf: usize, frames: &[usize]) -> Vec<StoragePoolRow> {
     use xmlup_rdb::BackendKind;
-    const SCANS: usize = 20;
-    const POINTS: usize = 400;
+    const UPDATES: usize = 400;
     let mut rows = Vec::new();
     for &fr in frames {
         let dir = scratch_dir();
-        let repo = storage_repo(&dir, BackendKind::Paged, fr, sf);
+        let mut repo = storage_repo(&dir, BackendKind::Paged, fr, sf);
         let ids = n1_ids(&repo);
+        // Settle: the first checkpoint absorbs the load itself.
+        repo.checkpoint().unwrap();
         let m0 = repo.db.storage_metrics();
         let t = std::time::Instant::now();
-        for _ in 0..SCANS {
-            repo.db.query("SELECT COUNT(*) FROM n3").unwrap();
-        }
-        let scan_ms = t.elapsed().as_secs_f64() * 1e3;
-        let t = std::time::Instant::now();
-        for i in 0..POINTS {
-            let id = ids[i % ids.len()];
+        repo.db.execute("BEGIN").unwrap();
+        for i in 0..UPDATES {
+            let id = ids[(i * 7) % ids.len()];
             repo.db
-                .query(&format!("SELECT str FROM n1 WHERE id = {id}"))
+                .execute(&format!("UPDATE n1 SET str = 'p{i}' WHERE id = {id}"))
                 .unwrap();
         }
-        let point_ms = t.elapsed().as_secs_f64() * 1e3;
+        repo.db.execute("COMMIT").unwrap();
+        let update_ms = t.elapsed().as_secs_f64() * 1e3;
+        let t = std::time::Instant::now();
+        repo.checkpoint().unwrap();
+        let checkpoint_ms = t.elapsed().as_secs_f64() * 1e3;
         let m1 = repo.db.storage_metrics();
         rows.push(StoragePoolRow {
             pool_frames: fr,
             pages_allocated: m1.pages_allocated,
-            scan_ms,
-            point_ms,
+            update_ms,
+            checkpoint_ms,
             hits: m1.pool.hits - m0.pool.hits,
             misses: m1.pool.misses - m0.pool.misses,
             evictions: m1.pool.evictions - m0.pool.evictions,
+            writebacks: m1.pool.writebacks - m0.pool.writebacks,
         });
         repo.close_durable().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
@@ -2075,10 +2084,18 @@ pub fn print_storage_engine(r: &StorageEngineReport) {
         );
     }
     println!();
-    println!("# Buffer pool: scan + point-read cost vs frame budget");
+    println!("# Buffer pool: update batch + checkpoint cost vs frame budget");
     println!(
-        "{:<8} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10} {:>9}",
-        "frames", "pages", "scan ms", "point ms", "hits", "misses", "evicted", "hit rate"
+        "{:<8} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>9}",
+        "frames",
+        "pages",
+        "update ms",
+        "ckpt ms",
+        "hits",
+        "misses",
+        "evicted",
+        "written",
+        "hit rate"
     );
     for p in &r.pool {
         let total = p.hits + p.misses;
@@ -2088,14 +2105,15 @@ pub fn print_storage_engine(r: &StorageEngineReport) {
             0.0
         };
         println!(
-            "{:<8} {:>8} {:>10.3} {:>10.3} {:>10} {:>10} {:>10} {:>8.1}%",
+            "{:<8} {:>8} {:>10.3} {:>10.3} {:>10} {:>10} {:>10} {:>10} {:>8.1}%",
             p.pool_frames,
             p.pages_allocated,
-            p.scan_ms,
-            p.point_ms,
+            p.update_ms,
+            p.checkpoint_ms,
             p.hits,
             p.misses,
             p.evictions,
+            p.writebacks,
             rate * 100.0
         );
     }
@@ -2152,16 +2170,17 @@ pub fn emit_storage_engine_json(r: &StorageEngineReport) {
         .map(|p| {
             let total = p.hits + p.misses;
             format!(
-                "{{\"pool_frames\":{},\"pages_allocated\":{},\"scan_ms\":{:.6},\
-                 \"point_ms\":{:.6},\"hits\":{},\"misses\":{},\"evictions\":{},\
-                 \"hit_rate\":{:.4}}}",
+                "{{\"pool_frames\":{},\"pages_allocated\":{},\"update_ms\":{:.6},\
+                 \"checkpoint_ms\":{:.6},\"hits\":{},\"misses\":{},\"evictions\":{},\
+                 \"writebacks\":{},\"hit_rate\":{:.4}}}",
                 p.pool_frames,
                 p.pages_allocated,
-                p.scan_ms,
-                p.point_ms,
+                p.update_ms,
+                p.checkpoint_ms,
                 p.hits,
                 p.misses,
                 p.evictions,
+                p.writebacks,
                 if total > 0 {
                     p.hits as f64 / total as f64
                 } else {

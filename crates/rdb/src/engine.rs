@@ -103,8 +103,6 @@ pub struct Stats {
     /// IN-list probe sets materialized (once per statement per list;
     /// correlated lists never build one).
     pub in_list_builds: u64,
-    /// Row batches emitted by the vectorized executor.
-    pub exec_batches: u64,
     /// Filter conjuncts pushed down into scans at plan time.
     pub predicates_pushed: u64,
     /// WAL payload bytes replayed by the most recent [`Database::open`]
@@ -159,7 +157,6 @@ pub(crate) struct StatsCells {
     pub(crate) index_scans: Counter,
     pub(crate) hash_join_builds: Counter,
     pub(crate) in_list_builds: Counter,
-    pub(crate) exec_batches: Counter,
     pub(crate) predicates_pushed: Counter,
     pub(crate) wal_replayed_bytes: Counter,
     pub(crate) recovery_micros: Counter,
@@ -198,7 +195,6 @@ impl StatsCells {
             index_scans: self.index_scans.get(),
             hash_join_builds: self.hash_join_builds.get(),
             in_list_builds: self.in_list_builds.get(),
-            exec_batches: self.exec_batches.get(),
             predicates_pushed: self.predicates_pushed.get(),
             wal_replayed_bytes: self.wal_replayed_bytes.get(),
             recovery_micros: self.recovery_micros.get(),
@@ -730,11 +726,6 @@ impl Database {
                 "rdb_in_list_builds_total",
                 "IN-list probe sets materialized (once per statement per list)",
                 s.in_list_builds,
-            ),
-            Metric::counter(
-                "rdb_exec_batches_total",
-                "Row batches emitted by the vectorized executor",
-                s.exec_batches,
             ),
             Metric::counter(
                 "rdb_predicates_pushed_total",
@@ -1825,8 +1816,7 @@ impl Database {
                 }
             }
             BackendKind::Paged => {
-                let (store, meta) =
-                    PagedStore::open(&dir, config.pool_frames, config.read_through)?;
+                let (store, meta) = PagedStore::open(&dir, config.pool_frames)?;
                 db.storage = Arc::new(store);
                 match meta {
                     Some(meta) => {
@@ -1940,12 +1930,14 @@ impl Database {
         Ok(())
     }
 
-    /// Write a checkpoint: snapshot the full state (catalog, heaps,
-    /// indexes, triggers, id counter) to `snapshot.bin` and truncate the
-    /// WAL. The snapshot is written to a temporary file, synced, and
-    /// renamed over the old one, so a crash at any point leaves either
-    /// the old snapshot (with a usable or discarded-stale WAL) or the
-    /// new one — never a torn snapshot.
+    /// Write a checkpoint and truncate the WAL. On the memory backend
+    /// the full state (catalog, heaps, indexes, triggers, id counter)
+    /// goes to `snapshot.bin`; on the paged backend the store flushes its
+    /// dirty pages and publishes `pages.meta` instead. Either file is
+    /// written to a temporary, synced, and renamed over the old one, so a
+    /// crash at any point leaves either the old checkpoint (with a usable
+    /// or discarded-stale WAL) or the new one — never a torn one. A
+    /// failed backend checkpoint returns before the WAL is truncated.
     pub fn checkpoint(&mut self) -> Result<()> {
         if self.durable.is_none() {
             return Err(DbError::Storage(

@@ -492,53 +492,11 @@ impl PlanProf {
     }
 }
 
-/// Rows pulled per [`Cursor::next_batch`] call by the vectorized
-/// execution path.
-pub(crate) const EXEC_BATCH: usize = 1024;
-
-/// A batch of rows plus an optional selection vector. With `sel` set,
-/// only the indexed rows are logically present: Filter emits selection
-/// vectors instead of compacting survivors, and batch consumers iterate
-/// the selected indices. `sel` indices are strictly increasing.
-pub(crate) struct RowBatch {
-    pub rows: Vec<Row>,
-    pub sel: Option<Vec<u32>>,
-}
-
-impl RowBatch {
-    fn len(&self) -> usize {
-        self.sel.as_ref().map_or(self.rows.len(), |s| s.len())
-    }
-}
-
 /// A Volcano operator: yields one row per `next()` call, `None` at end.
-///
-/// `next_batch` is the vectorized pull: up to `max.min(EXEC_BATCH)`
-/// rows per call (`max` carries the remaining LIMIT budget so limit
-/// pushdown keeps stopping scans early). The default accumulates
-/// through `next()`, so stateful operators (joins, DISTINCT,
-/// aggregation) fall back to per-row pull automatically; Scan, Filter,
-/// and Project override it with native batch paths. A given cursor
-/// instance is driven through exactly one of the two entry points,
-/// never both.
+/// The consumer pulls only as many rows as it needs, so a `LIMIT`
+/// without `ORDER BY` stops the scans under it early.
 trait Cursor {
     fn next(&mut self, ex: &ExecCtx<'_, '_>) -> Result<Option<Row>>;
-
-    fn next_batch(&mut self, ex: &ExecCtx<'_, '_>, max: usize) -> Result<Option<RowBatch>> {
-        let cap = max.min(EXEC_BATCH);
-        let mut rows = Vec::new();
-        while rows.len() < cap {
-            match self.next(ex)? {
-                Some(r) => rows.push(r),
-                None => break,
-            }
-        }
-        if rows.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(RowBatch { rows, sel: None }))
-        }
-    }
 }
 
 type BoxCursor<'a> = Box<dyn Cursor + 'a>;
@@ -584,16 +542,6 @@ impl Cursor for OneRow {
     }
 }
 
-/// The row at slot `p` of `t`, read through the page store.
-fn backed_fetch(t: &Table, p: usize) -> Result<Row> {
-    t.backed_row(p)?.ok_or_else(|| {
-        DbError::Storage(format!(
-            "page store lost row at slot {p} of `{}`",
-            t.schema.name
-        ))
-    })
-}
-
 enum ScanSrc<'a> {
     Table(&'a Table),
     Mat(Rc<Vec<Row>>),
@@ -612,17 +560,15 @@ enum ScanState<'a> {
         i: usize,
     },
     /// Range seek in slot order: materialized positions, rows fetched
-    /// (and filtered) lazily. `backed` fetches through the page store.
+    /// (and filtered) lazily.
     PosList {
         ps: Vec<usize>,
         i: usize,
-        backed: bool,
     },
     /// Ordered-index walk in key order: positions stream lazily out of
     /// the B-tree range, so `LIMIT k` touches only ~k entries.
     PosIter {
         iter: Box<dyn Iterator<Item = usize> + 'a>,
-        backed: bool,
     },
     Done,
 }
@@ -681,33 +627,6 @@ impl<'a> ScanCur<'a> {
                 // statement's snapshot: reconstruct the epoch's row image
                 // and scan that instead.
                 return self.start_snapshot(ex, t, s);
-            }
-        }
-        // Range seeks serve both the live heap and the read-through
-        // backend from one lazy path (positions come from the in-memory
-        // ordered index either way).
-        if let (
-            Access::Range {
-                ci,
-                lower,
-                upper,
-                ordered,
-                desc,
-            },
-            ScanSrc::Table(t),
-        ) = (&self.plan.access, &self.src)
-        {
-            return self.start_range(ex, t, *ci, lower, upper, *ordered, *desc);
-        }
-        if let ScanSrc::Table(t) = &self.src {
-            if t.backed_read_through() {
-                // Paged backend in read-through mode: rows materialize
-                // from the page store's buffer pool. The in-memory hash
-                // indexes stay the position authority; only the row
-                // bytes come from the pages. (A stale MVCC snapshot took
-                // the reconstruction path above; reaching here means the
-                // store matches what this statement should see.)
-                return self.start_backed(ex, t);
             }
         }
         match (&self.plan.access, &self.src) {
@@ -780,9 +699,16 @@ impl<'a> ScanCur<'a> {
                 }
                 Ok(ScanState::Bucket { rows, i: 0 })
             }
-            (Access::Range { .. }, ScanSrc::Table(_)) => {
-                unreachable!("range scans are intercepted by start_range")
-            }
+            (
+                Access::Range {
+                    ci,
+                    lower,
+                    upper,
+                    ordered,
+                    desc,
+                },
+                ScanSrc::Table(t),
+            ) => self.start_range(ex, t, *ci, lower, upper, *ordered, *desc),
         }
     }
 
@@ -790,8 +716,7 @@ impl<'a> ScanCur<'a> {
     /// row-independent by construction); the seek narrows candidates
     /// under `Value::sort_cmp`'s total order and `passes()` re-checks the
     /// originating conjuncts per row, so SQL comparison semantics are
-    /// preserved. Works for both the live heap and the read-through
-    /// backend — positions always come from the in-memory ordered index.
+    /// preserved.
     #[allow(clippy::too_many_arguments)]
     fn start_range(
         &self,
@@ -819,13 +744,12 @@ impl<'a> ScanCur<'a> {
             StatsCells::bump(&ex.db.stats.range_seeks, 1);
         }
         self.prof_loop(1);
-        let backed = t.backed_read_through();
         let lo_ref = lo.as_ref().map(|(v, i)| (v, *i));
         let hi_ref = hi.as_ref().map(|(v, i)| (v, *i));
         if ordered {
             StatsCells::bump(&ex.db.stats.ordered_index_scans, 1);
             match t.ordered_seek(ci, desc, lo_ref, hi_ref) {
-                Some(iter) => Ok(ScanState::PosIter { iter, backed }),
+                Some(iter) => Ok(ScanState::PosIter { iter }),
                 None => Err(DbError::Execution(format!(
                     "ordered index on column {ci} of `{}` vanished between plan and execution",
                     t.schema.name
@@ -833,108 +757,15 @@ impl<'a> ScanCur<'a> {
             }
         } else {
             match t.range_positions(ci, lo_ref, hi_ref) {
-                Some(ps) => Ok(ScanState::PosList { ps, i: 0, backed }),
+                Some(ps) => Ok(ScanState::PosList { ps, i: 0 }),
                 None => {
                     // Index dropped under a cached plan: degrade to a
                     // sequential scan — the bounds are still in `pushed`.
                     StatsCells::bump(&ex.db.stats.seq_scans, 1);
-                    if backed {
-                        self.start_backed_seq(ex, t)
-                    } else {
-                        Ok(ScanState::SeqTable { pos: 0 })
-                    }
+                    Ok(ScanState::SeqTable { pos: 0 })
                 }
             }
         }
-    }
-
-    /// Sequential read-through scan body, shared by `start_backed` and
-    /// the range fallback.
-    fn start_backed_seq(&self, ex: &ExecCtx<'_, '_>, t: &Table) -> Result<ScanState<'a>> {
-        let mut rows = Vec::new();
-        for (_, row) in t.backed_scan()? {
-            self.scanned.add(1);
-            if self.passes(&row, ex)? {
-                rows.push(row);
-            }
-        }
-        Ok(ScanState::Bucket { rows, i: 0 })
-    }
-
-    /// Read-through scan: the same four access paths as the live-heap
-    /// arm, but every row is fetched from the storage backend (through
-    /// its buffer pool) instead of the slot vector. Index probes still
-    /// resolve positions in the in-memory hash indexes and then fault
-    /// the individual rows in; sequential scans pull the whole table in
-    /// slot order.
-    fn start_backed(&self, ex: &ExecCtx<'_, '_>, t: &Table) -> Result<ScanState<'a>> {
-        let fetch = |p: usize| backed_fetch(t, p);
-        let mut rows = Vec::new();
-        match &self.plan.access {
-            Access::Seq => {
-                StatsCells::bump(&ex.db.stats.seq_scans, 1);
-                self.prof_loop(1);
-                return self.start_backed_seq(ex, t);
-            }
-            Access::IndexEq { ci, key } => {
-                StatsCells::bump(&ex.db.stats.index_scans, 1);
-                self.prof_loop(1);
-                let keyv = ex.db.eval_expr(key, &SliceEnv::EMPTY, ex.ctx, ex.ctes)?;
-                if !keyv.is_null() {
-                    if let Some(ps) = t.index_lookup(*ci, &keyv) {
-                        StatsCells::bump(&ex.db.stats.index_lookups, 1);
-                        for &p in ps {
-                            self.scanned.add(1);
-                            let row = fetch(p)?;
-                            if self.passes(&row, ex)? {
-                                rows.push(row);
-                            }
-                        }
-                    }
-                }
-            }
-            Access::IndexIn { ci, query } => {
-                StatsCells::bump(&ex.db.stats.index_scans, 1);
-                let sub = ex.db.cached_subquery(query, ex.ctx)?;
-                for keyv in &sub.set {
-                    self.prof_loop(1);
-                    if let Some(ps) = t.index_lookup(*ci, keyv) {
-                        StatsCells::bump(&ex.db.stats.index_lookups, 1);
-                        for &p in ps {
-                            self.scanned.add(1);
-                            let row = fetch(p)?;
-                            if self.passes(&row, ex)? {
-                                rows.push(row);
-                            }
-                        }
-                    }
-                }
-            }
-            Access::IndexInList { ci, list } => {
-                StatsCells::bump(&ex.db.stats.index_scans, 1);
-                let probe = ex
-                    .db
-                    .cached_in_list(list, ex.ctx, ex.ctes)?
-                    .expect("planner only picks row-independent lists");
-                for keyv in &probe.set {
-                    self.prof_loop(1);
-                    if let Some(ps) = t.index_lookup(*ci, keyv) {
-                        StatsCells::bump(&ex.db.stats.index_lookups, 1);
-                        for &p in ps {
-                            self.scanned.add(1);
-                            let row = fetch(p)?;
-                            if self.passes(&row, ex)? {
-                                rows.push(row);
-                            }
-                        }
-                    }
-                }
-            }
-            Access::Range { .. } => {
-                unreachable!("range scans are intercepted by start_range")
-            }
-        }
-        Ok(ScanState::Bucket { rows, i: 0 })
     }
 
     /// Stale-snapshot fallback: materialize the table as it stood at
@@ -1087,19 +918,10 @@ impl ScanCur<'_> {
             Cow::Owned(sorted)
         };
         let before = out.len();
-        if t.backed_read_through() {
-            for &p in ps.iter() {
-                let row = backed_fetch(t, p)?;
-                if self.passes(&row, ex)? {
-                    out.push(row);
-                }
-            }
-        } else {
-            for &p in ps.iter() {
-                let row = t.row(p).expect("index points at live row");
-                if self.passes(row, ex)? {
-                    out.push(row.clone());
-                }
+        for &p in ps.iter() {
+            let row = t.row(p).expect("index points at live row");
+            if self.passes(row, ex)? {
+                out.push(row.clone());
             }
         }
         if let (Some(p), Some(t0)) = (self.prof, t0) {
@@ -1167,7 +989,7 @@ impl ScanCur<'_> {
                     }
                     return Ok(None);
                 }
-                ScanState::PosList { ps, mut i, backed } => {
+                ScanState::PosList { ps, mut i } => {
                     let ScanSrc::Table(t) = &self.src else {
                         unreachable!("PosList state implies a table source")
                     };
@@ -1175,41 +997,25 @@ impl ScanCur<'_> {
                         let p = ps[i];
                         i += 1;
                         self.scanned.add(1);
-                        let row = if backed {
-                            Some(backed_fetch(t, p)?)
-                        } else {
-                            None
-                        };
-                        let row_ref: &Row = match &row {
-                            Some(r) => r,
-                            None => t.row(p).expect("ordered index points at live row"),
-                        };
-                        if self.passes(row_ref, ex)? {
-                            let out = row_ref.clone();
-                            self.state = ScanState::PosList { ps, i, backed };
+                        let row = t.row(p).expect("ordered index points at live row");
+                        if self.passes(row, ex)? {
+                            let out = row.clone();
+                            self.state = ScanState::PosList { ps, i };
                             return Ok(Some(out));
                         }
                     }
                     return Ok(None);
                 }
-                ScanState::PosIter { mut iter, backed } => {
+                ScanState::PosIter { mut iter } => {
                     let ScanSrc::Table(t) = &self.src else {
                         unreachable!("PosIter state implies a table source")
                     };
                     for p in iter.by_ref() {
                         self.scanned.add(1);
-                        let row = if backed {
-                            Some(backed_fetch(t, p)?)
-                        } else {
-                            None
-                        };
-                        let row_ref: &Row = match &row {
-                            Some(r) => r,
-                            None => t.row(p).expect("ordered index points at live row"),
-                        };
-                        if self.passes(row_ref, ex)? {
-                            let out = row_ref.clone();
-                            self.state = ScanState::PosIter { iter, backed };
+                        let row = t.row(p).expect("ordered index points at live row");
+                        if self.passes(row, ex)? {
+                            let out = row.clone();
+                            self.state = ScanState::PosIter { iter };
                             return Ok(Some(out));
                         }
                     }
@@ -1234,27 +1040,6 @@ impl Cursor for ScanCur<'_> {
                 }
                 r
             }
-        }
-    }
-
-    /// Native scan batch: fill straight from the scan state machine,
-    /// skipping the per-row virtual `next()` round trip.
-    fn next_batch(&mut self, ex: &ExecCtx<'_, '_>, max: usize) -> Result<Option<RowBatch>> {
-        let cap = max.min(EXEC_BATCH);
-        let mut rows = Vec::new();
-        while rows.len() < cap {
-            match self.next_inner(ex)? {
-                Some(r) => rows.push(r),
-                None => break,
-            }
-        }
-        if let Some(p) = self.prof {
-            OpProf::add(&p.rows, rows.len() as u64);
-        }
-        if rows.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(RowBatch { rows, sel: None }))
         }
     }
 }
@@ -1457,32 +1242,6 @@ impl Cursor for FilterCur<'_> {
         }
         Ok(None)
     }
-
-    /// Vectorized filter: evaluates the residual over a whole input
-    /// batch and emits a selection vector over it — survivors are never
-    /// copied or compacted here.
-    fn next_batch(&mut self, ex: &ExecCtx<'_, '_>, max: usize) -> Result<Option<RowBatch>> {
-        while let Some(batch) = self.input.next_batch(ex, max)? {
-            let mut sel: Vec<u32> = Vec::with_capacity(batch.len());
-            let candidates: Box<dyn Iterator<Item = u32>> = match &batch.sel {
-                Some(s) => Box::new(s.iter().copied()),
-                None => Box::new(0..batch.rows.len() as u32),
-            };
-            for i in candidates {
-                if self.residual.test(&batch.rows[i as usize], ex)? {
-                    sel.push(i);
-                }
-            }
-            if !sel.is_empty() {
-                return Ok(Some(RowBatch {
-                    rows: batch.rows,
-                    sel: Some(sel),
-                }));
-            }
-            // Entire batch rejected: pull the next one.
-        }
-        Ok(None)
-    }
 }
 
 /// Projection: wildcards copy ranges, expressions are evaluated.
@@ -1492,11 +1251,14 @@ struct ProjectCur<'a> {
     layout: &'a [(String, Vec<String>, usize)],
 }
 
-impl<'a> ProjectCur<'a> {
-    fn project_one(&self, row: &[Value], ex: &ExecCtx<'_, '_>) -> Result<Row> {
+impl Cursor for ProjectCur<'_> {
+    fn next(&mut self, ex: &ExecCtx<'_, '_>) -> Result<Option<Row>> {
+        let Some(row) = self.input.next(ex)? else {
+            return Ok(None);
+        };
         let env = SliceEnv {
             layout: self.layout,
-            values: row,
+            values: &row,
         };
         let mut out = Vec::with_capacity(self.steps.len());
         for step in self.steps {
@@ -1509,38 +1271,7 @@ impl<'a> ProjectCur<'a> {
                 ProjStep::Expr(e) => out.push(ex.db.eval_expr(e, &env, ex.ctx, ex.ctes)?),
             }
         }
-        Ok(out)
-    }
-}
-
-impl Cursor for ProjectCur<'_> {
-    fn next(&mut self, ex: &ExecCtx<'_, '_>) -> Result<Option<Row>> {
-        let Some(row) = self.input.next(ex)? else {
-            return Ok(None);
-        };
-        Ok(Some(self.project_one(&row, ex)?))
-    }
-
-    /// Vectorized projection: consumes the input's selection vector and
-    /// emits a compact batch of projected rows.
-    fn next_batch(&mut self, ex: &ExecCtx<'_, '_>, max: usize) -> Result<Option<RowBatch>> {
-        let Some(batch) = self.input.next_batch(ex, max)? else {
-            return Ok(None);
-        };
-        let mut rows = Vec::with_capacity(batch.len());
-        match &batch.sel {
-            None => {
-                for row in &batch.rows {
-                    rows.push(self.project_one(row, ex)?);
-                }
-            }
-            Some(sel) => {
-                for &i in sel {
-                    rows.push(self.project_one(&batch.rows[i as usize], ex)?);
-                }
-            }
-        }
-        Ok(Some(RowBatch { rows, sel: None }))
+        Ok(Some(out))
     }
 }
 
@@ -1739,43 +1470,13 @@ impl Database {
             ctes,
         };
         let mut out = Vec::new();
-        // `EXPLAIN ANALYZE` instruments per-row, so profiled runs stay
-        // on the row-at-a-time pull; everything else pulls batches.
-        let batched = prof.is_none();
         'cores: for (ci, core) in cores.iter().enumerate() {
             let mut cur = self.open_core(core, ctes, prof.map(|ps| &ps[ci]))?;
-            if batched {
-                loop {
-                    let budget = match pull_limit {
-                        Some(n) => (n as usize).saturating_sub(out.len()).max(1),
-                        None => EXEC_BATCH,
-                    };
-                    let Some(mut batch) = cur.next_batch(&ex, budget)? else {
-                        break;
-                    };
-                    StatsCells::bump(&self.stats.exec_batches, 1);
-                    match batch.sel.take() {
-                        None => out.append(&mut batch.rows),
-                        Some(sel) => {
-                            for &i in &sel {
-                                out.push(std::mem::take(&mut batch.rows[i as usize]));
-                            }
-                        }
-                    }
-                    if let Some(n) = pull_limit {
-                        if out.len() as u64 >= n {
-                            out.truncate(n as usize);
-                            break 'cores;
-                        }
-                    }
-                }
-            } else {
-                while let Some(row) = cur.next(&ex)? {
-                    out.push(row);
-                    if let Some(n) = pull_limit {
-                        if out.len() as u64 >= n {
-                            break 'cores;
-                        }
+            while let Some(row) = cur.next(&ex)? {
+                out.push(row);
+                if let Some(n) = pull_limit {
+                    if out.len() as u64 >= n {
+                        break 'cores;
                     }
                 }
             }

@@ -8,18 +8,20 @@
 //!   overhead; `Database::new` and `Database::open` behave exactly as
 //!   before this subsystem existed.
 //! * [`PagedStore`](paged::PagedStore) — a slotted-page file with one
-//!   copy-on-write B-tree per table (keyed on row id / slot position)
-//!   and a clock buffer pool. Every table mutation is mirrored into the
-//!   pages; `SELECT` scans and index probes read rows back through the
-//!   pool ([`StorageBackend::read_through`]); checkpoints flush only the
-//!   dirty frames and commit via an atomic meta rename, so checkpoint
-//!   cost is O(pages touched), not O(database).
+//!   copy-on-write B-tree per table (keyed on slot position) and a clock
+//!   buffer pool. Every table mutation is mirrored into the pages;
+//!   checkpoints flush only the dirty frames and commit via an atomic
+//!   meta rename, so checkpoint cost is O(pages touched), not
+//!   O(database). At open the tables are rebuilt from the pages
+//!   ([`StorageBackend::scan_table`]) before WAL replay.
 //!
-//! The split of responsibilities: the in-memory table remains the
-//! authority for *positions* (undo splicing, hash-index maintenance,
-//! MVCC before-images — all slot-addressed), while the backend is the
-//! authority for *bytes on disk*. MVCC version chains stay above the
-//! trait, so snapshot reads behave identically on every backend.
+//! The split of responsibilities: the in-memory table is the only
+//! source of rows for every read (scans, index probes, DML, MVCC
+//! snapshots) and the authority for *positions* (undo splicing,
+//! hash-index maintenance, MVCC before-images — all slot-addressed),
+//! while the backend is the authority for *bytes on disk*. MVCC version
+//! chains stay above the trait, so snapshot reads behave identically on
+//! every backend.
 
 pub mod btree;
 pub mod paged;
@@ -70,10 +72,6 @@ pub struct StorageConfig {
     pub backend: BackendKind,
     /// Buffer-pool frame budget for the paged backend (frames × 4 KiB).
     pub pool_frames: usize,
-    /// Whether `SELECT` scans and index probes materialize rows through
-    /// the paged backend's buffer pool instead of the in-memory heap.
-    /// On by default for the paged backend; ignored by the memory one.
-    pub read_through: bool,
 }
 
 impl Default for StorageConfig {
@@ -81,7 +79,6 @@ impl Default for StorageConfig {
         StorageConfig {
             backend: BackendKind::Memory,
             pool_frames: 1024,
-            read_through: true,
         }
     }
 }
@@ -161,7 +158,8 @@ pub struct CheckpointReport {
 /// calls invoked from [`crate::Table`]'s slot mutations — forward DML,
 /// rollback undo, and WAL replay all pass through them. A backend that
 /// can fail (I/O) records the error internally and surfaces it from the
-/// fallible methods (`get_row`, `scan_table`, `checkpoint`).
+/// fallible methods: `checkpoint`, and `scan_table` at open. Queries never
+/// read the backend, so a mirror error does not fail them.
 pub trait StorageBackend: std::fmt::Debug + Send + Sync {
     /// Which backend this is.
     fn kind(&self) -> BackendKind;
@@ -169,10 +167,6 @@ pub trait StorageBackend: std::fmt::Debug + Send + Sync {
     /// Whether the backend keeps its own durable copy of table data
     /// (mirror hooks are only attached to tables when it does).
     fn is_persistent(&self) -> bool;
-
-    /// Whether `SELECT` scans should materialize rows through the
-    /// backend instead of the in-memory heap.
-    fn read_through(&self) -> bool;
 
     /// A table was created under `table` (lower-cased key).
     fn create_table(&self, table: &str);
@@ -185,9 +179,6 @@ pub trait StorageBackend: std::fmt::Debug + Send + Sync {
 
     /// Slot `pos` of `table` no longer holds a row.
     fn delete_row(&self, table: &str, pos: u64);
-
-    /// Read back the row at slot `pos`, if live.
-    fn get_row(&self, table: &str, pos: u64) -> Result<Option<Row>>;
 
     /// All live rows of `table` in slot order.
     fn scan_table(&self, table: &str) -> Result<Vec<(u64, Row)>>;
@@ -224,10 +215,6 @@ impl StorageBackend for MemoryBackend {
         false
     }
 
-    fn read_through(&self) -> bool {
-        false
-    }
-
     fn create_table(&self, _table: &str) {}
 
     fn drop_table(&self, _table: &str) {}
@@ -235,10 +222,6 @@ impl StorageBackend for MemoryBackend {
     fn put_row(&self, _table: &str, _pos: u64, _row: &Row) {}
 
     fn delete_row(&self, _table: &str, _pos: u64) {}
-
-    fn get_row(&self, _table: &str, _pos: u64) -> Result<Option<Row>> {
-        Ok(None)
-    }
 
     fn scan_table(&self, _table: &str) -> Result<Vec<(u64, Row)>> {
         Ok(Vec::new())

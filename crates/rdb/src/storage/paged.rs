@@ -15,9 +15,10 @@
 //! same six mutation methods), so the page store tracks the in-memory
 //! heap byte for byte between checkpoints. Mirror paths cannot return
 //! errors to their callers, so an I/O failure *poisons* the store: the
-//! error is stored and surfaced by the next checkpoint or read.
+//! error is stored and surfaced by the next checkpoint, which then fails
+//! before the engine truncates its WAL.
 
-use super::btree::{bt_delete, bt_free, bt_get, bt_page_count, bt_put, bt_scan};
+use super::btree::{bt_delete, bt_free, bt_page_count, bt_put, bt_scan};
 use super::pager::{
     encode_meta, Pager, StoreMeta, TableMeta, DATA_FILE, META_FILE, META_TMP, PAGE_SIZE,
 };
@@ -56,8 +57,8 @@ struct StoreInner {
     heap: PageHeap,
     /// B-tree root per lower-cased table key (0 = empty tree).
     roots: HashMap<String, u64>,
-    /// First mirror-path I/O error; surfaces at the next checkpoint or
-    /// read instead of being silently dropped.
+    /// First mirror-path I/O error; surfaces at the next checkpoint
+    /// instead of being silently dropped.
     poisoned: Option<String>,
 }
 
@@ -66,7 +67,6 @@ struct StoreInner {
 #[derive(Debug)]
 pub struct PagedStore {
     dir: PathBuf,
-    read_through: bool,
     inner: Mutex<StoreInner>,
 }
 
@@ -77,11 +77,7 @@ impl PagedStore {
     /// in-memory tables from it before WAL replay. Without a meta the
     /// page file is reset: the store's content is whatever the engine
     /// seeds it with (fresh schema or a migrated full snapshot).
-    pub fn open(
-        dir: &Path,
-        pool_frames: usize,
-        read_through: bool,
-    ) -> Result<(PagedStore, Option<StoreMeta>)> {
+    pub fn open(dir: &Path, pool_frames: usize) -> Result<(PagedStore, Option<StoreMeta>)> {
         let pager = Pager::open(&dir.join(DATA_FILE))?;
         let mut heap = PageHeap::new(pager, pool_frames);
         let meta_path = dir.join(META_FILE);
@@ -102,7 +98,6 @@ impl PagedStore {
         Ok((
             PagedStore {
                 dir: dir.to_path_buf(),
-                read_through,
                 inner: Mutex::new(StoreInner {
                     heap,
                     roots,
@@ -156,10 +151,6 @@ impl StorageBackend for PagedStore {
         true
     }
 
-    fn read_through(&self) -> bool {
-        self.read_through
-    }
-
     fn create_table(&self, table: &str) {
         self.mirror(|inner| {
             inner.roots.insert(table.to_string(), 0);
@@ -193,16 +184,6 @@ impl StorageBackend for PagedStore {
             inner.roots.insert(table.to_string(), new_root);
             Ok(())
         });
-    }
-
-    fn get_row(&self, table: &str, pos: u64) -> Result<Option<Row>> {
-        self.with_inner(|inner| {
-            let root = root_of(inner, table)?;
-            match bt_get(&mut inner.heap, root, pos)? {
-                Some(bytes) => decode_row(&bytes).map(Some),
-                None => Ok(None),
-            }
-        })
     }
 
     fn scan_table(&self, table: &str) -> Result<Vec<(u64, Row)>> {

@@ -155,30 +155,6 @@ impl Table {
         });
     }
 
-    /// Whether scans should materialize rows through the backend's
-    /// buffer pool instead of the in-memory heap.
-    pub fn backed_read_through(&self) -> bool {
-        self.backing
-            .as_ref()
-            .is_some_and(|b| b.store.read_through())
-    }
-
-    /// All live rows read back through the backend, in slot order.
-    pub(crate) fn backed_scan(&self) -> Result<Vec<(usize, Row)>> {
-        let b = self.backing.as_ref().expect("backed_scan without backing");
-        Ok(b.store
-            .scan_table(&b.key)?
-            .into_iter()
-            .map(|(p, r)| (p as usize, r))
-            .collect())
-    }
-
-    /// The row at slot `pos` read back through the backend.
-    pub(crate) fn backed_row(&self, pos: usize) -> Result<Option<Row>> {
-        let b = self.backing.as_ref().expect("backed_row without backing");
-        b.store.get_row(&b.key, pos as u64)
-    }
-
     /// Mirror the current content of slot `pos` into the backend (no-op
     /// when unattached or the slot is a tombstone).
     fn mirror_slot(&self, pos: usize) {

@@ -347,7 +347,7 @@ fn paged_store_survives_eviction_and_reopen() {
     let scratch = Scratch::new();
     let n = 500u64;
     {
-        let (store, meta) = PagedStore::open(scratch.path(), 1, true).unwrap();
+        let (store, meta) = PagedStore::open(scratch.path(), 1).unwrap();
         assert!(meta.is_none(), "fresh directory has no checkpoint meta");
         store.create_table("t");
         for i in 0..n {
@@ -385,7 +385,7 @@ fn paged_store_survives_eviction_and_reopen() {
         let report = store.checkpoint(&catalog).unwrap().expect("incremental");
         assert!(report.pages_written > 0 && report.bytes_written > 0);
     }
-    let (store, meta) = PagedStore::open(scratch.path(), 64, true).unwrap();
+    let (store, meta) = PagedStore::open(scratch.path(), 64).unwrap();
     let meta = meta.expect("checkpoint meta recovered");
     assert_eq!(meta.generation, 1);
     assert_eq!(meta.tables.len(), 1);
@@ -399,7 +399,7 @@ fn paged_store_survives_eviction_and_reopen() {
 #[test]
 fn incremental_checkpoint_writes_only_dirty_pages() {
     let scratch = Scratch::new();
-    let (store, _) = PagedStore::open(scratch.path(), 4096, true).unwrap();
+    let (store, _) = PagedStore::open(scratch.path(), 4096).unwrap();
     store.create_table("t");
     for i in 0..2000u64 {
         store.put_row("t", i, &int_row(i as i64));
@@ -484,7 +484,7 @@ fn paged_database_checkpoint_and_reopen() {
     {
         let db = Database::open_with(scratch.path(), cfg).unwrap();
         assert_eq!(select_all(&db, "item"), before);
-        // Index probes read through the store.
+        // Index probes answer from the rebuilt tables.
         let rs = db.query("SELECT label FROM item WHERE id = 2").unwrap();
         assert_eq!(rs.rows, vec![vec![Value::Str("bee".into())]]);
         let sm = db.storage_metrics();

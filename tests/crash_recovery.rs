@@ -244,7 +244,6 @@ fn durable_edge(path: &Path, backend: BackendKind) -> Database {
     let storage = StorageConfig {
         backend,
         pool_frames: 8,
-        ..StorageConfig::default()
     };
     let mut db = Database::open_with(path, storage).unwrap();
     if db.table_names().is_empty() {

@@ -12,7 +12,9 @@
 //! incremental checkpoints interleave with the updates without being
 //! allowed to perturb visible state. After the script the paged store is
 //! crashed (dropped without close), reopened, and compared once more —
-//! recovery through meta + WAL must reproduce the same state.
+//! recovery through meta + WAL must reproduce the same state. Last, it is
+//! checkpointed, dropped and reopened, so the whole state is decoded from
+//! page images alone, and compared again.
 
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -62,9 +64,8 @@ fn repo_config(backend: BackendKind) -> RepoConfig {
     }
 }
 
-/// The SELECT-visible state: every table dumped through the query path
-/// (which reads through the buffer pool on the paged backend), ordered
-/// by id, plus the id counter.
+/// The SELECT-visible state: every table dumped through the query path,
+/// ordered by id, plus the id counter.
 #[allow(clippy::type_complexity)]
 fn visible_state(db: &Database) -> (Vec<(String, Vec<Vec<Value>>)>, i64) {
     let mut tables = Vec::new();
@@ -132,8 +133,7 @@ fn apply(repo: &mut XmlRepository, rel: usize, op: Op) {
 
 /// Fetch every live subtree of relation `rel` one at a time through the
 /// Sorted Outer Union and serialize each. Every level's parentId join
-/// probes its index (on the paged backend, fetching rows through the
-/// buffer pool).
+/// probes its index.
 fn subtree_fetches(repo: &mut XmlRepository, rel: usize) -> Vec<String> {
     repo.ids_of(rel)
         .into_iter()
@@ -206,16 +206,22 @@ fn run_inline_case(p: &SyntheticParams, seed: u64) -> Result<(), TestCaseError> 
     // Crash the paged store and recover: same visible state again.
     let expected = visible_state(&paged.db);
     drop(paged);
-    let (paged2, _) = inline_repo(paged_dir.path(), p, BackendKind::Paged);
+    let (mut paged2, _) = inline_repo(paged_dir.path(), p, BackendKind::Paged);
     prop_assert_eq!(visible_state(&paged2.db), expected);
-    paged2.close_durable().unwrap();
+
+    // Checkpoint and reopen: the state now comes from page images alone.
+    paged2.checkpoint().unwrap();
+    drop(paged2);
+    let (paged3, _) = inline_repo(paged_dir.path(), p, BackendKind::Paged);
+    prop_assert_eq!(visible_state(&paged3.db), expected);
+    paged3.close_durable().unwrap();
     mem.close_durable().unwrap();
     Ok(())
 }
 
 /// Per-subtree outer-union fetches take the index-join probe path on both
-/// backends — row reads going through the buffer pool on the paged one —
-/// and return the same XML.
+/// backends and return the same XML. Reads are served from the in-memory
+/// heap, so on the paged backend they leave the buffer pool untouched.
 #[test]
 fn subtree_fetch_index_join_matches_across_backends() {
     let p = SyntheticParams {
@@ -227,8 +233,7 @@ fn subtree_fetch_index_join_matches_across_backends() {
     let (mem_dir, paged_dir) = (Scratch::new(), Scratch::new());
     let (mut mem, rel) = inline_repo(mem_dir.path(), &p, BackendKind::Memory);
     let (mut paged, _) = inline_repo(paged_dir.path(), &p, BackendKind::Paged);
-    // Reopen the paged store so its pool starts cold and every row the
-    // probes return is read back from the page file.
+    // Reopen the paged store so its tables are rebuilt from the page file.
     paged.checkpoint().unwrap();
     paged.close_durable().unwrap();
     let (mut paged, _) = inline_repo(paged_dir.path(), &p, BackendKind::Paged);
@@ -251,10 +256,10 @@ fn subtree_fetch_index_join_matches_across_backends() {
         assert_eq!(a.hash_join_builds, b.hash_join_builds, "{a:?}");
         assert!(a.index_lookups > b.index_lookups, "{a:?}");
     }
-    assert!(
-        after.2.hits + after.2.misses > before.2.hits + before.2.misses,
-        "paged probes never touched the buffer pool: {:?}",
-        after.2
+    assert_eq!(
+        (after.2.hits, after.2.misses),
+        (before.2.hits, before.2.misses),
+        "paged probes read through the buffer pool"
     );
     paged.close_durable().unwrap();
     mem.close_durable().unwrap();
@@ -339,9 +344,15 @@ fn run_edge_case(p: &SyntheticParams, seed: u64) -> Result<(), TestCaseError> {
     // Crash + recover the paged store.
     let expected = visible_state(&paged);
     drop(paged);
-    let paged2 = edge_db(paged_dir.path(), p, paged_cfg);
+    let mut paged2 = edge_db(paged_dir.path(), p, paged_cfg);
     prop_assert_eq!(visible_state(&paged2), expected);
-    paged2.close().unwrap();
+
+    // Checkpoint and reopen: the state now comes from page images alone.
+    paged2.checkpoint().unwrap();
+    drop(paged2);
+    let paged3 = edge_db(paged_dir.path(), p, paged_cfg);
+    prop_assert_eq!(visible_state(&paged3), expected);
+    paged3.close().unwrap();
     mem.close().unwrap();
     Ok(())
 }
