@@ -611,43 +611,44 @@ pub fn storage_ablation(scaling: &[usize]) -> Vec<(usize, Millis, Millis, Millis
     rows
 }
 
-/// Plan-cache effectiveness on the paper's hot update paths: run a
-/// tuple-based insert workload and a per-tuple-trigger delete workload
-/// and report the engine's statement counters. With prepared statements
-/// and the plan cache, `statements_parsed` stays at the number of
-/// distinct statement *shapes* while `client_statements` grows with the
-/// workload. Returns `(label, client_statements, statements_parsed,
-/// cache_hits, cache_misses)` rows.
+/// Plan-cache effectiveness on the paper's hot update paths: run the
+/// tuple-, table- and ASR-based insert workloads and a per-tuple-trigger
+/// delete workload and report the engine's statement counters. With
+/// prepared statements and the plan cache, `statements_parsed` stays at
+/// the number of distinct statement *shapes* while `client_statements`
+/// grows with the workload, also for the table-based copy, whose
+/// temporary-table DDL leaves the parsed statements cached. Returns
+/// `(label, client_statements, statements_parsed, cache_hits,
+/// cache_misses)` rows.
 pub fn plan_cache_stats(sf: usize) -> Vec<(String, u64, u64, u64, u64)> {
     let p = SyntheticParams::new(sf, 4, 2);
-    let mut rows = Vec::new();
-
-    let mut repo = build_repo(&p, DeleteStrategy::PerTupleTrigger, InsertStrategy::Tuple);
-    let rel = repo.mapping.relation_by_element("n1").unwrap();
-    repo.reset_stats();
-    run_insert(&mut repo, rel, Workload::random10()).expect("insert runs");
-    let s = repo.stats();
-    rows.push((
-        "tuple insert, random".into(),
-        s.client_statements,
-        s.statements_parsed,
-        s.plan_cache_hits,
-        s.plan_cache_misses,
-    ));
-
-    let mut repo = build_repo(&p, DeleteStrategy::PerTupleTrigger, InsertStrategy::Tuple);
-    let rel = repo.mapping.relation_by_element("n1").unwrap();
-    repo.reset_stats();
-    run_delete(&mut repo, rel, Workload::random10()).expect("delete runs");
-    let s = repo.stats();
-    rows.push((
-        "per-tuple delete, random".into(),
-        s.client_statements,
-        s.statements_parsed,
-        s.plan_cache_hits,
-        s.plan_cache_misses,
-    ));
-    rows
+    let cases = [
+        ("tuple insert, random", InsertStrategy::Tuple, false),
+        ("table insert, random", InsertStrategy::Table, false),
+        ("asr insert, random", InsertStrategy::Asr, false),
+        ("per-tuple delete, random", InsertStrategy::Tuple, true),
+    ];
+    cases
+        .into_iter()
+        .map(|(label, is, delete)| {
+            let mut repo = build_repo(&p, DeleteStrategy::PerTupleTrigger, is);
+            let rel = repo.mapping.relation_by_element("n1").unwrap();
+            repo.reset_stats();
+            if delete {
+                run_delete(&mut repo, rel, Workload::random10()).expect("delete runs");
+            } else {
+                run_insert(&mut repo, rel, Workload::random10()).expect("insert runs");
+            }
+            let s = repo.stats();
+            (
+                label.to_string(),
+                s.client_statements,
+                s.statements_parsed,
+                s.plan_cache_hits,
+                s.plan_cache_misses,
+            )
+        })
+        .collect()
 }
 
 /// Print the plan-cache counters.

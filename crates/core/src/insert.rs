@@ -250,8 +250,7 @@ fn table_insert(
         ))?;
         if i == 0 {
             // Prepared so the root id is bound, not embedded: the statement
-            // shape stays constant across copies (the CREATEs above clear
-            // the plan cache, but the handle keeps its compiled plan).
+            // shape stays constant across copies.
             let load = db.prepare(&format!(
                 "INSERT INTO tmp_{t} SELECT * FROM {t} WHERE id = ?",
                 t = relation.table
@@ -291,22 +290,16 @@ fn table_insert(
     let span = max_id - min_id + 1;
     let next = db.allocate_ids(span);
     let offset = next - min_id;
-    // 3. Re-insert shifted tuples, one statement per relation.
+    // 3. Re-insert shifted tuples, one statement per relation. The offset
+    //    is bound, so each relation has one statement text for all copies.
     for &s in &subtree {
         let relation = &mapping.relations[s];
-        let data_cols: Vec<String> = relation.columns.iter().map(|c| c.name.clone()).collect();
-        let select_cols = if data_cols.is_empty() {
-            format!("id + {offset}, parentId + {offset}")
-        } else {
-            format!(
-                "id + {offset}, parentId + {offset}, {}",
-                data_cols.join(", ")
-            )
-        };
-        db.execute(&format!(
-            "INSERT INTO {t} SELECT {select_cols} FROM tmp_{t}",
+        let copy = db.prepare(&format!(
+            "INSERT INTO {t} SELECT {} FROM tmp_{t}",
+            shifted_columns(relation),
             t = relation.table
         ))?;
+        db.execute_prepared(&copy, &[Value::Int(offset)])?;
     }
     // 4. Reattach the copied root to its destination parent (with a fresh
     //    appended position on ordered mappings — the verbatim-copied pos_
@@ -316,6 +309,15 @@ fn table_insert(
         db.execute(&format!("DROP TABLE tmp_{}", mapping.relations[s].table))?;
     }
     Ok(copied)
+}
+
+/// Select list copying `relation`'s tuples with ids and parent ids shifted
+/// by the bound offset `$1`.
+fn shifted_columns(relation: &xmlup_shred::Relation) -> String {
+    std::iter::once("id + $1, parentId + $1".to_string())
+        .chain(relation.columns.iter().map(|c| c.name.clone()))
+        .collect::<Vec<_>>()
+        .join(", ")
 }
 
 /// Point the copied root at its destination parent, assigning a fresh
@@ -403,7 +405,7 @@ fn asr_insert(
     }
     // Destination ancestor path — resolved BEFORE any data is copied so a
     // missing path fails cleanly instead of leaving a half-applied insert.
-    let ancestor_literals: Vec<(String, String)> = match mapping.relations[rel].parent {
+    let ancestor_path: Vec<(String, Value)> = match mapping.relations[rel].parent {
         None => Vec::new(),
         Some(parent) => {
             let pcol = &asr.id_columns[asr.column_of(parent).expect("covered")];
@@ -427,7 +429,7 @@ fn asr_insert(
                     .iter()
                     .map(|&r| {
                         let ci = asr.column_of(r).expect("covered");
-                        (asr.id_columns[ci].clone(), sql_literal(&row[ci]))
+                        (asr.id_columns[ci].clone(), row[ci].clone())
                     })
                     .collect(),
             }
@@ -436,56 +438,50 @@ fn asr_insert(
     let span = max_id - min_id + 1;
     let next = db.allocate_ids(span);
     let offset = next - min_id;
-    // 3. Replicate tuples per relation, ids drawn from the marked paths.
+    // 3. Replicate tuples per relation, ids drawn from the marked paths
+    //    (offset bound as `$1`, as in the table-based copy).
     let mut copied = 0usize;
     for &s in &subtree {
         let relation = &mapping.relations[s];
         let c = &asr.id_columns[asr.column_of(s).expect("covered")];
-        let data_cols: Vec<String> = relation
-            .columns
-            .iter()
-            .map(|col| col.name.clone())
-            .collect();
-        let select_cols = if data_cols.is_empty() {
-            format!("id + {offset}, parentId + {offset}")
-        } else {
-            format!(
-                "id + {offset}, parentId + {offset}, {}",
-                data_cols.join(", ")
-            )
-        };
+        let copy = db.prepare(&format!(
+            "INSERT INTO {t} SELECT {} FROM {t} \
+             WHERE id IN (SELECT {c} FROM {} WHERE mark = TRUE)",
+            shifted_columns(relation),
+            asr.table,
+            t = relation.table
+        ))?;
         copied += db
-            .execute(&format!(
-                "INSERT INTO {t} SELECT {select_cols} FROM {t} \
-                 WHERE id IN (SELECT {c} FROM {} WHERE mark = TRUE)",
-                asr.table,
-                t = relation.table
-            ))?
+            .execute_prepared(&copy, &[Value::Int(offset)])?
             .affected();
     }
     // 4. Reattach the copied root (fresh position on ordered mappings).
     reattach_root(db, mapping, rel, src_id + offset, dst_parent_id)?;
     // 5. ASR maintenance: add the copied paths (ancestor columns carry the
-    //    destination parent's path, resolved up front), then unmark.
+    //    destination parent's path, resolved up front), then unmark. The
+    //    offset binds `$1` and the path values `$2`, `$3`, …
     let mut insert_cols: Vec<String> = Vec::new();
     let mut select_exprs: Vec<String> = Vec::new();
-    for (c, lit) in &ancestor_literals {
-        insert_cols.push(c.clone());
-        select_exprs.push(lit.clone());
+    let mut params = vec![Value::Int(offset)];
+    for (c, value) in ancestor_path {
+        insert_cols.push(c);
+        params.push(value);
+        select_exprs.push(format!("${}", params.len()));
     }
     for &s in &subtree {
         let c = &asr.id_columns[asr.column_of(s).expect("covered")];
         insert_cols.push(c.clone());
-        select_exprs.push(format!("{c} + {offset}"));
+        select_exprs.push(format!("{c} + $1"));
     }
     insert_cols.push("mark".into());
     select_exprs.push("FALSE".into());
-    db.execute(&format!(
+    let extend = db.prepare(&format!(
         "INSERT INTO {a} ({}) SELECT {} FROM {a} WHERE mark = TRUE",
         insert_cols.join(", "),
         select_exprs.join(", "),
         a = asr.table
     ))?;
+    db.execute_prepared(&extend, &params)?;
     db.execute(&format!(
         "UPDATE {} SET mark = FALSE WHERE mark = TRUE",
         asr.table

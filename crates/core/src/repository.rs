@@ -6,7 +6,7 @@ use crate::delete::{self, DeleteStrategy};
 use crate::error::{CoreError, Result};
 use crate::insert::{self, InsertStrategy};
 use crate::translate::{self, TranslatedOp};
-use xmlup_rdb::{BackendKind, Database, Span, Stats, StorageConfig, Value};
+use xmlup_rdb::{BackendKind, Database, ResultSet, Span, Stats, StorageConfig, Value};
 use xmlup_shred::{loader, outer_union, AsrIndex, Mapping};
 use xmlup_xml::dtd::Dtd;
 use xmlup_xml::{Document, NodeId};
@@ -462,19 +462,35 @@ impl XmlRepository {
         })
     }
 
-    /// Ids of `rel` tuples matching a translated filter.
-    fn bind_ids(&mut self, rel: usize, filter: &Option<String>) -> Result<Vec<i64>> {
+    /// `SELECT {cols} FROM` `rel`'s table, filtered by a translated
+    /// filter whose literals are bound as parameters, in id order.
+    fn select_where(&self, cols: &str, rel: usize, filter: &Option<String>) -> Result<ResultSet> {
         let table = &self.mapping.relations[rel].table;
-        let wc = filter
-            .as_deref()
-            .map(|f| format!(" WHERE {f}"))
-            .unwrap_or_default();
-        Ok(self
+        let (filter, params) = bind_filter(filter);
+        let wc = where_clause(filter);
+        let stmt = self
             .db
-            .query(&format!("SELECT id FROM {table}{wc} ORDER BY id"))?
+            .prepare(&format!("SELECT {cols} FROM {table}{wc} ORDER BY id"))?;
+        Ok(self.db.query_prepared(&stmt, &params)?)
+    }
+
+    /// Ids of `rel` tuples matching a translated filter.
+    fn bind_ids(&self, rel: usize, filter: &Option<String>) -> Result<Vec<i64>> {
+        Ok(self
+            .select_where("id", rel, filter)?
             .rows
             .iter()
             .filter_map(|r| r[0].as_int())
+            .collect())
+    }
+
+    /// `(id, parentId)` of the anchor tuples a translated filter selects.
+    fn bind_anchors(&self, rel: usize, filter: &Option<String>) -> Result<Vec<(i64, i64)>> {
+        Ok(self
+            .select_where("id, parentId", rel, filter)?
+            .rows
+            .iter()
+            .filter_map(|r| Some((r[0].as_int()?, r[1].as_int()?)))
             .collect())
     }
 
@@ -527,28 +543,12 @@ impl XmlRepository {
                 anchor_rel,
                 anchor_filter,
                 before,
-            } => {
-                let anchor_table = &self.mapping.relations[*anchor_rel].table;
-                let wc = anchor_filter
-                    .as_deref()
-                    .map(|f| format!(" WHERE {f}"))
-                    .unwrap_or_default();
-                let anchors = self
-                    .db
-                    .query(&format!(
-                        "SELECT id, parentId FROM {anchor_table}{wc} ORDER BY id"
-                    ))?
-                    .rows
-                    .iter()
-                    .filter_map(|r| Some((r[0].as_int()?, r[1].as_int()?)))
-                    .collect();
-                BoundOp::InsertTupleAt {
-                    rel: *rel,
-                    values: values.clone(),
-                    anchors,
-                    before: *before,
-                }
-            }
+            } => BoundOp::InsertTupleAt {
+                rel: *rel,
+                values: values.clone(),
+                anchors: self.bind_anchors(*anchor_rel, anchor_filter)?,
+                before: *before,
+            },
         })
     }
 
@@ -666,7 +666,8 @@ impl XmlRepository {
     fn execute_translated_inner(&mut self, op: &TranslatedOp) -> Result<usize> {
         match op {
             TranslatedOp::DeleteSubtrees { rel, filter } => {
-                self.delete_where(*rel, filter.as_deref())
+                let (filter, params) = bind_filter(filter);
+                self.delete_where_params(*rel, filter.as_deref(), &params)
             }
             TranslatedOp::DeleteInlined { rel, path, filter } => Ok(delete::delete_inlined(
                 &mut self.db,
@@ -683,30 +684,8 @@ impl XmlRepository {
             } => {
                 // Bind sources and destinations (ids), then copy each
                 // source under each destination.
-                let src_table = &self.mapping.relations[*src_rel].table;
-                let swc = src_filter
-                    .as_deref()
-                    .map(|f| format!(" WHERE {f}"))
-                    .unwrap_or_default();
-                let src_ids: Vec<i64> = self
-                    .db
-                    .query(&format!("SELECT id FROM {src_table}{swc} ORDER BY id"))?
-                    .rows
-                    .iter()
-                    .filter_map(|r| r[0].as_int())
-                    .collect();
-                let dst_table = &self.mapping.relations[*dst_rel].table;
-                let dwc = dst_filter
-                    .as_deref()
-                    .map(|f| format!(" WHERE {f}"))
-                    .unwrap_or_default();
-                let dst_ids: Vec<i64> = self
-                    .db
-                    .query(&format!("SELECT id FROM {dst_table}{dwc} ORDER BY id"))?
-                    .rows
-                    .iter()
-                    .filter_map(|r| r[0].as_int())
-                    .collect();
+                let src_ids = self.bind_ids(*src_rel, src_filter)?;
+                let dst_ids = self.bind_ids(*dst_rel, dst_filter)?;
                 let mut n = 0;
                 for &d in &dst_ids {
                     for &s in &src_ids {
@@ -724,20 +703,7 @@ impl XmlRepository {
             } => {
                 // Bind anchors (id + parent), then place one new tuple per
                 // anchor using the gap-based positional machinery.
-                let anchor_table = &self.mapping.relations[*anchor_rel].table;
-                let wc = anchor_filter
-                    .as_deref()
-                    .map(|f| format!(" WHERE {f}"))
-                    .unwrap_or_default();
-                let anchors: Vec<(i64, i64)> = self
-                    .db
-                    .query(&format!(
-                        "SELECT id, parentId FROM {anchor_table}{wc} ORDER BY id"
-                    ))?
-                    .rows
-                    .iter()
-                    .filter_map(|r| Some((r[0].as_int()?, r[1].as_int()?)))
-                    .collect();
+                let anchors = self.bind_anchors(*anchor_rel, anchor_filter)?;
                 let mut n = 0;
                 for (aid, parent) in anchors {
                     let at = if *before {
@@ -778,19 +744,16 @@ impl XmlRepository {
                 filter,
             } => {
                 let relation = &self.mapping.relations[*rel];
-                let wc = filter
-                    .as_deref()
-                    .map(|f| format!(" WHERE {f}"))
-                    .unwrap_or_default();
-                Ok(self
-                    .db
-                    .execute(&format!(
-                        "UPDATE {} SET {} = {}{wc}",
-                        relation.table,
-                        relation.columns[*column].name,
-                        xmlup_shred::loader::sql_literal(value)
-                    ))?
-                    .affected())
+                let (filter, filter_params) = bind_filter(filter);
+                let wc = where_clause(filter);
+                let stmt = self.db.prepare(&format!(
+                    "UPDATE {} SET {} = ?{wc}",
+                    relation.table, relation.columns[*column].name
+                ))?;
+                let params: Vec<Value> = std::iter::once(value.clone())
+                    .chain(filter_params)
+                    .collect();
+                Ok(self.db.execute_prepared(&stmt, &params)?.affected())
             }
         }
     }
@@ -809,6 +772,19 @@ impl XmlRepository {
             .cloned()
             .ok_or_else(|| CoreError::Strategy(format!("no tuple {id}")))
     }
+}
+
+/// A translated filter with its literals bound as parameters (see
+/// [`translate::bind_literals`]).
+fn bind_filter(filter: &Option<String>) -> (Option<String>, Vec<Value>) {
+    match filter.as_deref().map(translate::bind_literals) {
+        Some((f, params)) => (Some(f), params),
+        None => (None, Vec::new()),
+    }
+}
+
+fn where_clause(filter: Option<String>) -> String {
+    filter.map(|f| format!(" WHERE {f}")).unwrap_or_default()
 }
 
 /// A translated operation with its bindings materialized (ids computed

@@ -716,6 +716,41 @@ fn lit_sql(l: &Lit) -> String {
     }
 }
 
+/// Split a translated filter into a parameterised text and its values:
+/// each quoted literal [`lit_sql`] rendered becomes a `?`, in order, so
+/// one statement shape keeps one text in the engine's plan cache however
+/// many keys it runs with. Translation keeps literals inline (that is the
+/// SQL [`query_filter_sql`] returns); execution binds them. A text whose
+/// quotes do not pair up is returned unchanged with no values.
+pub fn bind_literals(sql: &str) -> (String, Vec<Value>) {
+    let mut text = String::with_capacity(sql.len());
+    let mut params = Vec::new();
+    let mut rest = sql;
+    while let Some(open) = rest.find('\'') {
+        text.push_str(&rest[..open]);
+        rest = &rest[open + 1..];
+        let mut lit = String::new();
+        loop {
+            let Some(close) = rest.find('\'') else {
+                return (sql.to_string(), Vec::new());
+            };
+            lit.push_str(&rest[..close]);
+            rest = &rest[close + 1..];
+            match rest.strip_prefix('\'') {
+                Some(after) => {
+                    lit.push('\'');
+                    rest = after;
+                }
+                None => break,
+            }
+        }
+        text.push('?');
+        params.push(Value::Str(lit));
+    }
+    text.push_str(rest);
+    (text, params)
+}
+
 /// Resolve a relative predicate path to a column condition, chaining
 /// through child relations when the path leaves the home relation.
 fn resolve_rel_path_cond(

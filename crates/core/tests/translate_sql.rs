@@ -2,7 +2,10 @@
 //! of paper Section 6 must produce exactly the SQL structures the paper
 //! describes.
 
-use xmlup_core::translate::{query_filter_sql, translate_query, translate_update, TranslatedOp};
+use xmlup_core::translate::{
+    bind_literals, query_filter_sql, translate_query, translate_update, TranslatedOp,
+};
+use xmlup_rdb::Value;
 use xmlup_shred::Mapping;
 use xmlup_xml::dtd::Dtd;
 use xmlup_xml::samples::CUSTOMER_DTD;
@@ -217,4 +220,41 @@ fn unsupported_shapes_do_not_produce_sql() {
             "should not translate: {bad}"
         );
     }
+}
+
+#[test]
+fn bound_literals_become_placeholders_in_text_order() {
+    let m = mapping();
+    let stmt = parse_statement(
+        r#"FOR $c IN document("x")/CustDB/Customer[Name="O'Brien" or Name="Mary"], $o IN $c/Order[Status="open"] RETURN $o"#,
+    )
+    .unwrap();
+    let spec = translate_query(&stmt, &m).unwrap();
+    let sql = query_filter_sql(&spec, &m, None).unwrap().unwrap();
+    let (text, params) = bind_literals(&sql);
+    // The text keeps everything but the literals, which bind in order.
+    assert_eq!(
+        text,
+        sql.replace("'O''Brien'", "?")
+            .replace("'Mary'", "?")
+            .replace("'open'", "?")
+    );
+    let pos = |lit: &str| sql.find(lit).unwrap();
+    let mut expected = [
+        ("'O''Brien'", "O'Brien"),
+        ("'Mary'", "Mary"),
+        ("'open'", "open"),
+    ];
+    expected.sort_by_key(|(lit, _)| pos(lit));
+    let expected: Vec<Value> = expected
+        .iter()
+        .map(|(_, v)| Value::Str(v.to_string()))
+        .collect();
+    assert_eq!(params, expected);
+    // A text without literals binds nothing; unpaired quotes stay as they are.
+    assert_eq!(
+        bind_literals("Address_p = TRUE"),
+        ("Address_p = TRUE".into(), vec![])
+    );
+    assert_eq!(bind_literals("Name = 'x"), ("Name = 'x".into(), vec![]));
 }

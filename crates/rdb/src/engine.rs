@@ -282,8 +282,10 @@ impl ExecResult {
 ///
 /// Obtained from [`Database::prepare`]; executed with
 /// [`Database::execute_prepared`]. The compiled plan is owned by the
-/// handle, so later DDL (which clears the plan cache) does not invalidate
-/// it: names are resolved against the catalog at execution time.
+/// handle and shared with the plan cache entry for the same text; DDL
+/// does not invalidate it, because names are resolved against the
+/// catalog at execution time and the physical plan replans when the
+/// schema epoch moves.
 #[derive(Debug, Clone)]
 pub struct PreparedStmt {
     stmt: Arc<Stmt>,
@@ -368,10 +370,6 @@ impl PlanCache {
             },
         );
     }
-
-    fn clear(&mut self) {
-        self.plans.clear();
-    }
 }
 
 /// The in-memory relational database.
@@ -384,11 +382,13 @@ pub struct Database {
     /// Simulated per-client-statement overhead (see
     /// [`Database::set_statement_cost`]).
     statement_cost: DurCell,
-    /// Compiled plans for SQL text seen by `execute`/`prepare`, cleared
-    /// on any DDL.
+    /// Parsed statements for SQL text seen by `execute`/`prepare`. DDL
+    /// leaves them in place: a parsed statement holds no catalog state,
+    /// and the physical plan in its slot is epoch-stamped.
     plan_cache: Mutex<PlanCache>,
-    /// Bumped on every DDL (and plan-cache clear); physical plans carry
-    /// the epoch they were built under and replan when it moves.
+    /// Bumped on every DDL, on rollback of DDL, on a planner-mode switch
+    /// and after recovery; physical plans carry the epoch they were
+    /// built under and replan when it moves.
     pub(crate) schema_epoch: Counter,
     /// When set, the planner skips predicate pushdown and index-access
     /// selection and re-checks the whole filter on joined rows,
@@ -1048,10 +1048,10 @@ impl Database {
         Ok((stmt, params, slot, false))
     }
 
-    /// Drop all cached statement plans and advance the schema epoch so
-    /// physical plans held by prepared statements replan lazily.
-    fn invalidate_plans(&self) {
-        self.plan_cache.lock().unwrap().clear();
+    /// Advance the schema epoch so every physical plan built before it,
+    /// whether reached through the plan cache or a prepared statement,
+    /// replans on its next execution. Parsed statements stay cached.
+    fn bump_schema_epoch(&self) {
         self.schema_epoch.set(self.schema_epoch.get() + 1);
     }
 
@@ -1064,7 +1064,7 @@ impl Database {
     /// as the A side of interpreter-vs-planner comparisons.
     pub fn set_planner_naive(&mut self, naive: bool) {
         self.planner_naive.set(naive);
-        self.invalidate_plans();
+        self.bump_schema_epoch();
     }
 
     /// Physical plan for a top-level SELECT: reuse the statement's plan
@@ -1633,8 +1633,8 @@ impl Database {
     }
 
     /// Undo all records above `mark`, newest first. If any undone record
-    /// was DDL the plan cache is invalidated, mirroring the forward DDL
-    /// path (satellite: ROLLBACK of DDL must not leave stale plans).
+    /// was DDL the schema epoch advances, mirroring the forward DDL path,
+    /// so no physical plan built against the undone catalog runs again.
     fn rollback_to_mark(&mut self, mark: usize) {
         let mut ddl = false;
         while self.txn.log.len() > mark {
@@ -1643,7 +1643,7 @@ impl Database {
             self.apply_undo(rec);
         }
         if ddl {
-            self.invalidate_plans();
+            self.bump_schema_epoch();
         }
     }
 
@@ -1883,7 +1883,7 @@ impl Database {
         // Replay ran with `durable` unset so nothing re-logged itself;
         // wipe its undo/stats bookkeeping before arming the appender.
         db.txn = TxnState::default();
-        db.invalidate_plans();
+        db.bump_schema_epoch();
         db.stats = StatsCells::default();
         db.stats.recovered_txns.set(recovered);
         db.stats.wal_replayed_bytes.set(replayed_bytes);
@@ -2489,8 +2489,9 @@ impl Database {
             return Err(DbError::TriggerDepth(format!("depth {depth}")));
         }
         StatsCells::bump(&self.stats.total_statements, 1);
-        // Any DDL may change what cached plans would resolve to (tables,
-        // indexes, triggers), so the plan cache is dropped wholesale.
+        // Any DDL may change what a physical plan resolved to (tables,
+        // columns, indexes, statistics), so the epoch advances and every
+        // plan built before it replans. Parsed statements stay cached.
         let is_ddl = matches!(
             stmt,
             Stmt::CreateTable { .. }
@@ -2501,7 +2502,7 @@ impl Database {
                 | Stmt::DropTrigger { .. }
         );
         if is_ddl {
-            self.invalidate_plans();
+            self.bump_schema_epoch();
         }
         let result = match stmt {
             Stmt::CreateTable {

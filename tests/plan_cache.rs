@@ -18,7 +18,7 @@ fn repo(ds: DeleteStrategy, is: InsertStrategy, batch_size: usize) -> (XmlReposi
         RepoConfig {
             delete_strategy: ds,
             insert_strategy: is,
-            build_asr: false,
+            build_asr: is == InsertStrategy::Asr,
             statement_cost_us: 0,
             batch_size,
             ..RepoConfig::default()
@@ -35,24 +35,40 @@ fn repo(ds: DeleteStrategy, is: InsertStrategy, batch_size: usize) -> (XmlReposi
 fn tuple_insert_workload_parses_each_shape_once() {
     // batch_size 1 pins the paper's one-statement-per-tuple translation,
     // which is the shape-amortization path under test here.
-    let (mut repo, rel) = repo(DeleteStrategy::PerTupleTrigger, InsertStrategy::Tuple, 1);
+    assert_second_insert_run_parses_nothing(InsertStrategy::Tuple);
+}
+
+/// A complex-insert workload (at `batch_size` 1) parses each statement
+/// shape in its first run; a second identical run re-parses nothing,
+/// although every table-based copy creates and drops temporary tables
+/// and every ASR-based copy rewrites the ASR in between.
+fn assert_second_insert_run_parses_nothing(is: InsertStrategy) {
+    let (mut repo, rel) = repo(DeleteStrategy::PerTupleTrigger, is, 1);
     run_insert(&mut repo, rel, Workload::random10()).unwrap();
     let after_first = repo.stats();
     assert!(
         after_first.statements_parsed < after_first.client_statements,
-        "prepared statements must amortize parsing: parsed {} of {} stmts",
+        "{is:?}: parsed {} of {} stmts",
         after_first.statements_parsed,
         after_first.client_statements
     );
-    // A second identical workload re-executes only already-compiled
-    // shapes: zero additional parses.
     run_insert(&mut repo, rel, Workload::random10()).unwrap();
     let after_second = repo.stats();
     assert_eq!(
         after_second.statements_parsed, after_first.statements_parsed,
-        "second tuple-insert run re-parsed statements"
+        "second {is:?}-insert run re-parsed statements"
     );
     assert!(after_second.client_statements > after_first.client_statements);
+}
+
+#[test]
+fn table_insert_workload_parses_each_shape_once() {
+    assert_second_insert_run_parses_nothing(InsertStrategy::Table);
+}
+
+#[test]
+fn asr_insert_workload_parses_each_shape_once() {
+    assert_second_insert_run_parses_nothing(InsertStrategy::Asr);
 }
 
 #[test]
@@ -68,4 +84,46 @@ fn per_tuple_delete_workload_parses_each_shape_once() {
         "second per-tuple-delete run re-parsed statements"
     );
     assert!(after_second.client_statements > after_first.client_statements);
+}
+
+#[test]
+fn translated_updates_with_new_keys_parse_no_new_statements() {
+    // The statement shapes of an XQuery subtree delete and self-copy
+    // insert, each naming a key not used before: the translated filters
+    // bind their literals, so after the first pair nothing parses again.
+    let (mut repo, _) = repo(DeleteStrategy::PerTupleTrigger, InsertStrategy::Table, 256);
+    let keys: Vec<String> = repo
+        .db
+        .query("SELECT num FROM n1 ORDER BY id")
+        .unwrap()
+        .rows
+        .iter()
+        .map(|r| r[0].as_str().unwrap().to_string())
+        .collect();
+    let delete_and_copy = |repo: &mut XmlRepository, i: usize| {
+        let (del, ins) = (&keys[i], &keys[keys.len() - 1 - i]);
+        let n = repo
+            .execute_xquery(&format!(
+                r#"FOR $d IN document("x")/root, $n IN $d/n1[num="{del}"] UPDATE $d {{ DELETE $n }}"#
+            ))
+            .unwrap();
+        assert!(n > 0, "key {del} deleted nothing");
+        let n = repo
+            .execute_xquery(&format!(
+                r#"FOR $s IN document("x")/root/n1[num="{ins}"], $d IN document("x")/root UPDATE $d {{ INSERT $s }}"#
+            ))
+            .unwrap();
+        assert!(n > 0, "key {ins} copied nothing");
+    };
+    delete_and_copy(&mut repo, 0);
+    let after_first = repo.stats();
+    for i in 1..6 {
+        delete_and_copy(&mut repo, i);
+    }
+    let s = repo.stats();
+    assert_eq!(
+        s.statements_parsed, after_first.statements_parsed,
+        "updates with new keys parsed new statements"
+    );
+    assert!(s.client_statements > after_first.client_statements);
 }
